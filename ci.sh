@@ -13,8 +13,8 @@ cargo test -q
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== chaos smoke: hpsim --faults examples/chaos.json --audit =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc \

@@ -199,7 +199,7 @@ fn artifact_json(c: &Criterion, mode: &str) -> String {
                 num(r.min_ns),
                 num(r.median_ns),
                 num(r.mean_ns),
-                r.elems_per_sec.map_or("null".into(), |e| num(e)),
+                r.elems_per_sec.map_or("null".into(), num),
             )
         })
         .collect();

@@ -16,12 +16,10 @@ fn main() {
 
     // 1. Trace generation alone (stream path).
     let mut s = w.thread_stream(0, 1);
-    let mut buf = Vec::with_capacity(256);
     let t0 = Instant::now();
     let mut total = 0usize;
     while total < N {
-        buf.clear();
-        let got = s.fill(&mut buf, 256.min(N - total));
+        let got = s.next_window(256.min(N - total)).len();
         if got == 0 {
             break;
         }
@@ -56,13 +54,12 @@ fn main() {
     let mut accesses = Vec::with_capacity(N);
     {
         let mut s = w.thread_stream(0, 1);
-        let mut len = accesses.len();
-        while len < N {
-            let got = s.fill(&mut accesses, N - len);
-            if got == 0 {
+        while accesses.len() < N {
+            let window = s.next_window(N - accesses.len());
+            if window.is_empty() {
                 break;
             }
-            len += got;
+            accesses.extend_from_slice(window);
         }
     }
     let rec = RecordedWorkload::new("bfs18-recorded", accesses);

@@ -402,7 +402,7 @@ pub fn render_consolidation(
     let t0 = std::time::Instant::now();
     let r = hpage_sim::consolidation_on(profile, &cfg, &mut telemetry);
     h.log().record_cell(
-        &format!("consolidation/{tenants}t/pcc"),
+        format!("consolidation/{tenants}t/pcc"),
         t0.elapsed().as_secs_f64(),
     );
     let mut t = TextTable::new([

@@ -788,10 +788,14 @@ impl HugePagePolicy for PccPolicy {
             });
         }
         let mut promoted = 0u32;
+        // Once promotion stops (cap, budget or a failed allocation), the
+        // rest of the list is only swept for stale candidates: leaving
+        // them in the bank lets leaf walks keep feeding them back.
+        let mut stopped = false;
         for cand in candidates {
-            if promoted >= max_promotions || !budget.available() {
+            if !stopped && (promoted >= max_promotions || !budget.available()) {
                 report.budget_exhausted = !budget.available();
-                break;
+                stopped = true;
             }
             // A candidate from an unplaced core is unattributable: skip.
             let Ok(p) = os.process_of(cand.core) else {
@@ -806,6 +810,9 @@ impl HugePagePolicy for PccPolicy {
                 if let Some(bank) = pccs.as_deref_mut() {
                     bank.invalidate_all(region);
                 }
+                continue;
+            }
+            if stopped {
                 continue;
             }
             // Degradation: a region in backoff is deferred, not retried.
@@ -849,7 +856,7 @@ impl HugePagePolicy for PccPolicy {
                             .deferred
                             .push((ProcessId(p as u32), region, entry.1, entry.0));
                     }
-                    break;
+                    stopped = true;
                 }
                 Err(_) => {}
             }

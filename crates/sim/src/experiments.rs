@@ -1753,7 +1753,7 @@ mod tests {
         );
         // Two shootdown-spike windows, one storm flush per core each.
         assert!(
-            r.storm_flushes >= 32 && r.storm_flushes % 32 == 0,
+            r.storm_flushes >= 32 && r.storm_flushes.is_multiple_of(32),
             "storms: {}",
             r.storm_flushes
         );

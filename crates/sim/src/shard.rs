@@ -83,7 +83,49 @@ use crate::simulation::{ProcessSpec, SimReport, Simulation};
 /// core's timestamp block can run ahead of another's within a round.
 pub(crate) const CHUNK: u32 = 256;
 
-/// Hot-path configuration copied into every shard worker.
+/// PCC granularities in bank order. Every per-size array below is
+/// indexed like this, and every per-size loop visits 2 MiB before
+/// 1 GiB, which keeps recorded `PccUpdate` events in canonical order.
+/// Only the 2 MiB bank (index 0) reaches the policy and the auditor;
+/// the optional 1 GiB bank only feeds `SimReport::candidates_1g`.
+const PCC_SIZES: [PageSize; 2] = [PageSize::Huge2M, PageSize::Huge1G];
+
+/// One core's page-walk accelerator: none (every walk pays its full
+/// level count), the native [`PageWalkCache`], or, in nested mode, the
+/// 2D complex [`NestedPwc`] (its guest arrays come from
+/// `NestedConfig::guest_pwc`, so `SystemConfig::pwc` is ignored there).
+#[derive(Default)]
+enum Walker {
+    #[default]
+    None,
+    Native(PageWalkCache),
+    Nested(NestedPwc),
+}
+
+impl Walker {
+    fn flush(&mut self) {
+        match self {
+            Walker::None => {}
+            Walker::Native(pwc) => pwc.flush(),
+            Walker::Nested(npwc) => npwc.flush(),
+        }
+    }
+
+    /// Drops cached translations through a remapped guest region.
+    fn invalidate_guest_region(&mut self, region: Vpn) {
+        match self {
+            Walker::None => {}
+            Walker::Native(pwc) => {
+                pwc.invalidate_region(region);
+            }
+            Walker::Nested(npwc) => {
+                npwc.invalidate_guest_region(region);
+            }
+        }
+    }
+}
+
+/// Hot-path configuration copied into every core's datapath.
 #[derive(Clone, Copy)]
 struct WorkerFlags {
     /// Policy faults prefer 2 MiB frames.
@@ -197,10 +239,8 @@ struct OsSlice {
     spaces: Vec<(usize, AddressSpace)>,
     vms: Vec<(usize, NestedVm)>,
     tlbs: Vec<(usize, TlbHierarchy)>,
-    pwcs: Vec<(usize, PageWalkCache)>,
-    npwcs: Vec<(usize, NestedPwc)>,
-    pccs: Vec<(usize, Pcc)>,
-    pccs_1g: Vec<(usize, Pcc)>,
+    walkers: Vec<(usize, Walker)>,
+    pccs: Vec<(usize, [Option<Pcc>; 2])>,
     /// Running per-core counters (overwrite, not delta). Surrendered at
     /// barriers only — the interval block and the final report are the
     /// sole readers, and both sit behind [`ToShard::TakeOs`], so the
@@ -259,28 +299,32 @@ enum ShardProgress {
     Failed(HpageError),
 }
 
-/// One simulated core's private state: TLB hierarchy, page-walk cache,
-/// PCC slice, trace stream, and the in-flight chunk.
+/// One simulated core: its trace stream and its datapath.
 ///
 /// The chunk itself is *not* stored here: it is the trace stream's
 /// current window ([`TraceStream::window`]), borrowed zero-copy by
 /// [`run_seat`] — a decoded HPT2 block, a slice of the recorded trace,
-/// or a kernel's pending queue. Only its length is tracked.
+/// or a kernel's pending queue. Keeping the stream apart from the
+/// datapath lets the window stay borrowed while the datapath mutates.
 struct CoreSeat<'w> {
+    trace: Box<dyn TraceStream + Send + 'w>,
+    dp: Datapath,
+}
+
+/// Everything a core owns besides its trace: TLB hierarchy, walker,
+/// per-size PCCs, and the progress of the in-flight chunk.
+struct Datapath {
     core: usize,
     pid: usize,
     /// Index into the owning worker's `spaces`.
     space_slot: usize,
-    trace: Box<dyn TraceStream + Send + 'w>,
-    // `Option` so the state can travel to the coordinator at barriers;
-    // always `Some` while the worker executes.
+    flags: WorkerFlags,
+    // `Option` (and `Walker::None`, `[None; 2]`) so the state can travel
+    // to the coordinator at barriers; resident while the worker executes.
     tlb: Option<TlbHierarchy>,
-    pwc: Option<PageWalkCache>,
-    /// Nested mode: the 2D translation-cache complex replacing `pwc`
-    /// (which is forced `None` when the run is nested).
-    npwc: Option<NestedPwc>,
-    pcc: Option<Pcc>,
-    pcc_1g: Option<Pcc>,
+    walker: Walker,
+    /// Per-size PCCs, indexed like [`PCC_SIZES`].
+    pccs: [Option<Pcc>; 2],
     /// Length of the trace stream's current window.
     chunk_len: usize,
     /// Next unexecuted index into the window.
@@ -300,15 +344,13 @@ struct CoreSeat<'w> {
     events: Vec<(u64, Event)>,
     region_walks: RegionWalks,
     unused_grants: Vec<FaultGrant>,
-    /// Batched A-bit harvest for the 2 MiB PCC: `(region, a_bit)` pairs
+    /// Batched A-bit harvest per PCC size: `(region, a_bit)` pairs
     /// collected during the chunk and replayed once at chunk
     /// completion. Only used when no recorder is attached (with a
     /// recorder, `PccUpdate` events must interleave in timestamp order,
     /// so the feed runs inline). Persists across fault pauses within a
     /// chunk.
-    pcc_feed: Vec<(Vpn, bool)>,
-    /// Same, for the 1 GiB PCC bank.
-    pcc_feed_1g: Vec<(Vpn, bool)>,
+    pcc_feeds: [Vec<(Vpn, bool)>; 2],
     /// Scratch for the host walks one 2D walk performs (nTLB misses);
     /// recycled across walks, drained into the host PCC feed and the
     /// host ledger tally immediately after each walk.
@@ -331,14 +373,13 @@ struct ShardWorker<'w> {
     /// The shared data-cache model (forces a single shard, so at most
     /// one worker ever holds it).
     caches: Option<CacheHierarchy>,
-    flags: WorkerFlags,
 }
 
 impl<'w> ShardWorker<'w> {
     fn seat_mut(&mut self, core: usize) -> &mut CoreSeat<'w> {
         self.seats
             .iter_mut()
-            .find(|s| s.core == core)
+            .find(|s| s.dp.core == core)
             .expect("core belongs to this shard")
     }
 
@@ -352,13 +393,13 @@ impl<'w> ShardWorker<'w> {
             ToShard::Execute { ts_bases } => {
                 for (core, base) in ts_bases {
                     // First access of the block is access number base+1.
-                    self.seat_mut(core).ts = base + 1;
+                    self.seat_mut(core).dp.ts = base + 1;
                 }
                 Some(FromShard::Progress(Box::new(self.run_ready())))
             }
             ToShard::Grants { grants } => {
                 for (core, grant) in grants {
-                    self.seat_mut(core).pending_grant = Some(grant);
+                    self.seat_mut(core).dp.pending_grant = Some(grant);
                 }
                 Some(FromShard::Progress(Box::new(self.run_ready())))
             }
@@ -376,15 +417,15 @@ impl<'w> ShardWorker<'w> {
     fn fill(&mut self, quotas: &mut [(usize, u64)]) {
         for slot in quotas.iter_mut() {
             let (core, quota) = *slot;
-            let seat = self.seat_mut(core);
-            seat.pos = 0;
-            seat.resume_walk = false;
-            let got = seat.trace.next_window(quota as usize).len();
-            seat.chunk_len = got;
-            seat.in_round = got > 0;
+            let CoreSeat { trace, dp } = self.seat_mut(core);
+            dp.pos = 0;
+            dp.resume_walk = false;
+            let got = trace.next_window(quota as usize).len();
+            dp.chunk_len = got;
+            dp.in_round = got > 0;
             if got > 0 {
-                let s = seat.tlb.as_ref().expect("tlb resident").stats();
-                seat.chunk_base = (s.accesses, s.l1_hits, s.l2_hits, s.walks);
+                let s = dp.tlb().stats();
+                dp.chunk_base = (s.accesses, s.l1_hits, s.l2_hits, s.walks);
             }
             slot.1 = got as u64;
         }
@@ -393,31 +434,29 @@ impl<'w> ShardWorker<'w> {
     /// Runs every in-round seat until it pauses at a fault or finishes
     /// its chunk.
     fn run_ready(&mut self) -> ShardProgress {
-        let flags = self.flags;
         let mut requests = Vec::new();
         let ShardWorker {
             seats,
             spaces,
             vms,
             caches,
-            ..
         } = self;
         for seat in seats.iter_mut() {
-            if !seat.in_round {
+            if !seat.dp.in_round {
                 continue;
             }
-            let space = spaces[seat.space_slot]
+            let space = spaces[seat.dp.space_slot]
                 .1
                 .as_mut()
                 .expect("space resident between barriers");
-            let vm = vms[seat.space_slot].as_mut();
+            let vm = vms[seat.dp.space_slot].as_mut();
             // Monomorphize the hot loop on "is a recorder attached":
             // event pushes and the inline PCC feed compile out of the
             // recorder-less path entirely.
-            let ran = if flags.recorder_on {
-                run_seat::<true>(seat, space, vm, caches, flags)
+            let ran = if seat.dp.flags.recorder_on {
+                run_seat::<true>(seat, space, vm, caches)
             } else {
-                run_seat::<false>(seat, space, vm, caches, flags)
+                run_seat::<false>(seat, space, vm, caches)
             };
             match ran {
                 Ok(Some(req)) => requests.push(req),
@@ -426,16 +465,16 @@ impl<'w> ShardWorker<'w> {
             }
         }
         let mut unused = Vec::new();
-        for seat in seats.iter_mut() {
-            for g in seat.unused_grants.drain(..) {
-                unused.push((seat.core, g));
+        for CoreSeat { dp, .. } in seats.iter_mut() {
+            for g in dp.unused_grants.drain(..) {
+                unused.push((dp.core, g));
             }
         }
         if requests.is_empty() {
             let mut events = Vec::new();
-            for seat in seats.iter_mut() {
-                if !seat.events.is_empty() {
-                    events.push((seat.core, std::mem::take(&mut seat.events)));
+            for CoreSeat { dp, .. } in seats.iter_mut() {
+                if !dp.events.is_empty() {
+                    events.push((dp.core, std::mem::take(&mut dp.events)));
                 }
             }
             ShardProgress::RoundDone { events, unused }
@@ -452,27 +491,16 @@ impl<'w> ShardWorker<'w> {
                 slice.vms.push((*pid, vm));
             }
         }
-        for seat in self.seats.iter_mut() {
+        for CoreSeat { dp, .. } in self.seats.iter_mut() {
+            let core = dp.core;
             slice
                 .tlbs
-                .push((seat.core, seat.tlb.take().expect("tlb resident")));
-            if let Some(p) = seat.pwc.take() {
-                slice.pwcs.push((seat.core, p));
-            }
-            if let Some(p) = seat.npwc.take() {
-                slice.npwcs.push((seat.core, p));
-            }
-            if let Some(p) = seat.pcc.take() {
-                slice.pccs.push((seat.core, p));
-            }
-            if let Some(p) = seat.pcc_1g.take() {
-                slice.pccs_1g.push((seat.core, p));
-            }
-            slice.counters.push((seat.core, seat.counters));
-            slice.region_walks.extend(seat.region_walks.drain());
-            slice
-                .host_region_walks
-                .extend(seat.host_region_walks.drain());
+                .push((core, dp.tlb.take().expect("tlb resident")));
+            slice.walkers.push((core, std::mem::take(&mut dp.walker)));
+            slice.pccs.push((core, std::mem::take(&mut dp.pccs)));
+            slice.counters.push((core, dp.counters));
+            slice.region_walks.extend(dp.region_walks.drain());
+            slice.host_region_walks.extend(dp.host_region_walks.drain());
         }
         slice
     }
@@ -495,19 +523,13 @@ impl<'w> ShardWorker<'w> {
             self.vms[slot] = Some(vm);
         }
         for (core, t) in slice.tlbs {
-            self.seat_mut(core).tlb = Some(t);
+            self.seat_mut(core).dp.tlb = Some(t);
         }
-        for (core, p) in slice.pwcs {
-            self.seat_mut(core).pwc = Some(p);
-        }
-        for (core, p) in slice.npwcs {
-            self.seat_mut(core).npwc = Some(p);
+        for (core, w) in slice.walkers {
+            self.seat_mut(core).dp.walker = w;
         }
         for (core, p) in slice.pccs {
-            self.seat_mut(core).pcc = Some(p);
-        }
-        for (core, p) in slice.pccs_1g {
-            self.seat_mut(core).pcc_1g = Some(p);
+            self.seat_mut(core).dp.pccs = p;
         }
     }
 }
@@ -516,65 +538,36 @@ impl<'w> ShardWorker<'w> {
 /// frame from the coordinator (`Ok(Some(request))`).
 ///
 /// `REC` mirrors `flags.recorder_on` at the type level so the
-/// recorder-less hot loop contains no event plumbing at all. The seat
-/// is destructured into disjoint field borrows up front: the chunk is
-/// the trace stream's current window, borrowed zero-copy for the whole
-/// loop while the TLB, counters and PCC feeds stay mutable beside it.
+/// recorder-less hot loop contains no event plumbing at all. The chunk
+/// is the trace stream's current window, borrowed zero-copy for the
+/// whole loop while the datapath stays mutable beside it.
 fn run_seat<const REC: bool>(
     seat: &mut CoreSeat<'_>,
     space: &mut AddressSpace,
     mut vm: Option<&mut NestedVm>,
     caches: &mut Option<CacheHierarchy>,
-    flags: WorkerFlags,
 ) -> Result<Option<FaultRequest>, HpageError> {
-    debug_assert_eq!(REC, flags.recorder_on);
-    let CoreSeat {
-        core,
-        pid,
-        trace,
-        tlb,
-        pwc,
-        npwc,
-        pcc,
-        pcc_1g,
-        chunk_len,
-        pos,
-        ts,
-        resume_walk,
-        pending_grant,
-        in_round,
-        chunk_base,
-        counters,
-        events,
-        region_walks,
-        unused_grants,
-        pcc_feed,
-        pcc_feed_1g,
-        host_scratch,
-        host_region_walks,
-        ..
-    } = seat;
-    let core = *core;
-    let pid = *pid;
-    let tlb = tlb.as_mut().expect("tlb resident");
+    let CoreSeat { trace, dp } = seat;
+    debug_assert_eq!(REC, dp.flags.recorder_on);
+    let core = dp.core;
     // Re-acquire the window on every entry (the seat may be resuming
     // from a fault pause); `window` re-borrows the same slice that
     // `next_window` produced at fill time.
     let chunk: &[MemoryAccess] = trace.window();
-    debug_assert_eq!(chunk.len(), *chunk_len);
+    debug_assert_eq!(chunk.len(), dp.chunk_len);
     // A grant arrived for the access we paused on.
-    if let Some(grant) = pending_grant.take() {
-        let access = chunk[*pos];
+    if let Some(grant) = dp.pending_grant.take() {
+        let access = chunk[dp.pos];
         if space.page_table().translate(access.addr).is_some() {
             // A sibling core's install in this same wave already mapped
             // the address; the grant is redundant — hand the frame back.
-            unused_grants.push(grant);
+            dp.unused_grants.push(grant);
         } else if matches!(grant, FaultGrant::Huge(_)) && !space.fault_wants_huge(access.addr, true)
         {
             // Sibling base-page installs landed in the region after the
             // request was posted; a huge mapping no longer fits. Return
             // the frame and re-request a base grant next wave.
-            unused_grants.push(grant);
+            dp.unused_grants.push(grant);
             return Ok(Some(FaultRequest {
                 core,
                 va: access.addr,
@@ -584,59 +577,39 @@ fn run_seat<const REC: bool>(
             let out = space.install_grant(access.addr, grant)?;
             let size = match out {
                 FaultOutcome::Base(_) => {
-                    counters.faults_base += 1;
+                    dp.counters.faults_base += 1;
                     PageSize::Base4K
                 }
                 FaultOutcome::Huge(_) => {
-                    counters.faults_huge += 1;
+                    dp.counters.faults_huge += 1;
                     PageSize::Huge2M
                 }
             };
             if REC {
-                events.push((
-                    *ts,
+                dp.events.push((
+                    dp.ts,
                     Event::Fault {
                         core: CoreId(core as u32),
-                        process: ProcessId(pid as u32),
+                        process: ProcessId(dp.pid as u32),
                         size,
                     },
                 ));
             }
         }
-        *resume_walk = true;
+        dp.resume_walk = true;
     }
-    while *pos < *chunk_len {
-        let access = chunk[*pos];
-        let at = *ts;
-        let data_translation: Option<Translation> = if *resume_walk {
-            *resume_walk = false;
+    while dp.pos < dp.chunk_len {
+        let access = chunk[dp.pos];
+        let at = dp.ts;
+        let data_translation: Option<Translation> = if dp.resume_walk {
+            dp.resume_walk = false;
             let walk = space.page_table_mut().walk(access.addr)?;
-            Some(handle_walk::<REC>(
-                core,
-                pid,
-                pwc,
-                npwc,
-                vm.as_deref_mut(),
-                host_scratch,
-                host_region_walks,
-                tlb,
-                pcc,
-                pcc_1g,
-                pcc_feed,
-                pcc_feed_1g,
-                counters,
-                events,
-                region_walks,
-                access,
-                at,
-                walk,
-                flags,
-            )?)
+            Some(dp.walked::<REC>(vm.as_deref_mut(), access, at, walk)?)
         } else {
-            match tlb.lookup(access.addr) {
+            match dp.tlb().lookup(access.addr) {
                 TlbOutcome::L1Hit(t) => {
                     if REC {
-                        events.push((
+                        dp.events.push((
                             at,
                             Event::TlbHit {
                                 core: CoreId(core as u32),
@@ -649,7 +622,7 @@ fn run_seat<const REC: bool>(
                 }
                 TlbOutcome::L2Hit(t) => {
                     if REC {
-                        events.push((
+                        dp.events.push((
                             at,
                             Event::TlbHit {
                                 core: CoreId(core as u32),
@@ -661,31 +634,11 @@ fn run_seat<const REC: bool>(
                     Some(t)
                 }
                 TlbOutcome::Miss => match space.page_table_mut().walk(access.addr) {
-                    Ok(walk) => Some(handle_walk::<REC>(
-                        core,
-                        pid,
-                        pwc,
-                        npwc,
-                        vm.as_deref_mut(),
-                        host_scratch,
-                        host_region_walks,
-                        tlb,
-                        pcc,
-                        pcc_1g,
-                        pcc_feed,
-                        pcc_feed_1g,
-                        counters,
-                        events,
-                        region_walks,
-                        access,
-                        at,
-                        walk,
-                        flags,
-                    )?),
+                    Ok(walk) => Some(dp.walked::<REC>(vm.as_deref_mut(), access, at, walk)?),
                     Err(_) => {
                         // Page fault: ship the allocation request; the
                         // access retries here once the grant lands.
-                        let wants_huge = space.fault_wants_huge(access.addr, flags.prefer_huge);
+                        let wants_huge = space.fault_wants_huge(access.addr, dp.flags.prefer_huge);
                         return Ok(Some(FaultRequest {
                             core,
                             va: access.addr,
@@ -702,195 +655,160 @@ fn run_seat<const REC: bool>(
             let paddr = hpage_types::PhysAddr::new(t.pfn.base().raw() + offset);
             match caches.access(core, paddr) {
                 CacheOutcome::L1 => {}
-                CacheOutcome::L2 => counters.cache_l2_hits += 1,
-                CacheOutcome::Llc => counters.cache_llc_hits += 1,
-                CacheOutcome::Memory => counters.cache_memory += 1,
+                CacheOutcome::L2 => dp.counters.cache_l2_hits += 1,
+                CacheOutcome::Llc => dp.counters.cache_llc_hits += 1,
+                CacheOutcome::Memory => dp.counters.cache_memory += 1,
             }
         }
-        *pos += 1;
-        *ts += 1;
+        dp.pos += 1;
+        dp.ts += 1;
     }
     // Chunk complete. Without a recorder the A-bit harvest batched
-    // during the chunk replays into the PCC banks here, once per chunk:
-    // each bank is per-seat, the replay preserves the per-bank call
-    // order, and PCC state is only read at interval barriers (which sit
-    // between completed rounds), so the result is bit-identical to the
-    // inline feed.
+    // during the chunk replays into the PCCs here, once per chunk: each
+    // PCC is per-seat, the replay preserves the per-PCC call order, and
+    // PCC state is only read at interval barriers (which sit between
+    // completed rounds), so the result is bit-identical to the inline
+    // feed.
     if !REC {
-        if let Some(pcc) = pcc.as_mut() {
-            for &(region, a_bit) in pcc_feed.iter() {
-                pcc.record_walk(region, a_bit);
+        for (pcc, feed) in dp.pccs.iter_mut().zip(dp.pcc_feeds.iter_mut()) {
+            if let Some(pcc) = pcc {
+                for &(region, a_bit) in feed.iter() {
+                    pcc.record_walk(region, a_bit);
+                }
             }
+            feed.clear();
         }
-        pcc_feed.clear();
-        if let Some(pcc_1g) = pcc_1g.as_mut() {
-            for &(region, a_bit) in pcc_feed_1g.iter() {
-                pcc_1g.record_walk(region, a_bit);
-            }
-        }
-        pcc_feed_1g.clear();
     }
     // Fold the TLB stats delta into the counters (the hierarchy already
     // counts lookups, so the hot loop doesn't).
-    let s = tlb.stats();
-    counters.accesses += s.accesses - chunk_base.0;
-    counters.l1_hits += s.l1_hits - chunk_base.1;
-    counters.l2_hits += s.l2_hits - chunk_base.2;
-    counters.walks += s.walks - chunk_base.3;
-    *in_round = false;
+    let s = dp.tlb().stats();
+    let c = &mut dp.counters;
+    c.accesses += s.accesses - dp.chunk_base.0;
+    c.l1_hits += s.l1_hits - dp.chunk_base.1;
+    c.l2_hits += s.l2_hits - dp.chunk_base.2;
+    c.walks += s.walks - dp.chunk_base.3;
+    dp.in_round = false;
     Ok(None)
 }
 
-/// The post-walk datapath: PWC (or the nested 2D complex), ledger
-/// tally, TLB fill, PCC feeds. A free function over the seat's
-/// split-borrowed fields so it can run while the trace window (an
-/// immutable borrow of the seat's stream) is live in [`run_seat`].
-///
-/// In nested mode the guest walk's level count is only the first
-/// dimension: every referenced guest level and the data page are
-/// host-translated through the seat's [`NestedPwc`], host faults are
-/// served inline from the VM's private physical memory, and the host
-/// walks actually performed feed the host PCC and the host ledger
-/// tally. `Event::Walk` then carries the *nominal* cold 2D cost
-/// (`guest_levels × 5 + 4`) as `levels` and the real reference count as
-/// `effective_levels`; the host PCC feed runs inline on both the
-/// recorded and unrecorded paths (it emits no events), so recording
-/// stays pure observation.
-///
-/// # Errors
-///
-/// Returns [`HpageError::OutOfMemory`] when a host fault cannot back a
-/// guest-physical page (nested mode only — the native path is
-/// infallible).
-#[allow(clippy::too_many_arguments)]
-fn handle_walk<const REC: bool>(
-    core: usize,
-    pid: usize,
-    pwc: &mut Option<PageWalkCache>,
-    npwc: &mut Option<NestedPwc>,
-    vm: Option<&mut NestedVm>,
-    host_scratch: &mut Vec<WalkResult>,
-    host_region_walks: &mut RegionWalks,
-    tlb: &mut TlbHierarchy,
-    pcc: &mut Option<Pcc>,
-    pcc_1g: &mut Option<Pcc>,
-    pcc_feed: &mut Vec<(Vpn, bool)>,
-    pcc_feed_1g: &mut Vec<(Vpn, bool)>,
-    counters: &mut RunCounters,
-    events: &mut Vec<(u64, Event)>,
-    region_walks: &mut RegionWalks,
-    access: MemoryAccess,
-    at: u64,
-    walk: WalkResult,
-    flags: WorkerFlags,
-) -> Result<Translation, HpageError> {
-    let (nominal_levels, effective_levels) = if let Some(npwc) = npwc.as_mut() {
-        let vm = vm.expect("nested seats always have a VM");
-        let gpa = hpage_tlb::data_gpa(&walk, access.addr);
-        let refs = {
-            let OsState { phys, spaces, .. } = &mut vm.os;
-            let mut host = VmHost {
-                space: &mut spaces[0],
-                phys,
-            };
-            npwc.walk(
-                access.addr,
-                walk.levels_referenced,
-                gpa,
-                &mut host,
-                host_scratch,
-            )?
+impl Datapath {
+    fn tlb(&mut self) -> &mut TlbHierarchy {
+        self.tlb.as_mut().expect("tlb resident")
+    }
+
+    /// The post-walk datapath: walker (native PWC or the nested 2D
+    /// complex), ledger tally, TLB fill, PCC feeds.
+    ///
+    /// In nested mode the guest walk's level count is only the first
+    /// dimension: every referenced guest level and the data page are
+    /// host-translated through the core's [`NestedPwc`], host faults are
+    /// served inline from the VM's private physical memory, and the host
+    /// walks actually performed feed the host PCC and the host ledger
+    /// tally. `Event::Walk` then carries the *nominal* cold 2D cost
+    /// (`guest_levels × 5 + 4`) as `levels` and the real reference count
+    /// as `effective_levels`; the host PCC feed runs inline on both the
+    /// recorded and unrecorded paths (it emits no events), so recording
+    /// stays pure observation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpageError::OutOfMemory`] when a host fault cannot back
+    /// a guest-physical page (nested mode only — the native path is
+    /// infallible).
+    fn walked<const REC: bool>(
+        &mut self,
+        vm: Option<&mut NestedVm>,
+        access: MemoryAccess,
+        at: u64,
+        walk: WalkResult,
+    ) -> Result<Translation, HpageError> {
+        let guest_levels = walk.levels_referenced;
+        let (nominal_levels, effective_levels) = match &mut self.walker {
+            Walker::None => (guest_levels, guest_levels),
+            Walker::Native(pwc) => (guest_levels, pwc.walk(access.addr, guest_levels)),
+            Walker::Nested(npwc) => {
+                let vm = vm.expect("nested seats always have a VM");
+                let gpa = hpage_tlb::data_gpa(&walk, access.addr);
+                let refs = {
+                    let OsState { phys, spaces, .. } = &mut vm.os;
+                    let mut host = VmHost {
+                        space: &mut spaces[0],
+                        phys,
+                    };
+                    npwc.walk(
+                        access.addr,
+                        guest_levels,
+                        gpa,
+                        &mut host,
+                        &mut self.host_scratch,
+                    )?
+                };
+                for hw in self.host_scratch.iter() {
+                    let region = hw.translation.vpn.base().vpn(PageSize::Huge2M);
+                    if let Some(host_pcc) = vm.pcc.as_mut() {
+                        if hw.translation.size() != PageSize::Huge1G {
+                            host_pcc.record_walk(region, hw.pmd_accessed_before);
+                        }
+                    }
+                    if self.flags.ledger_on {
+                        *self
+                            .host_region_walks
+                            .entry((self.pid as u32, region.index()))
+                            .or_insert(0) += 1;
+                    }
+                }
+                (guest_levels * 5 + 4, refs)
+            }
         };
-        for hw in host_scratch.iter() {
-            let region = hw.translation.vpn.base().vpn(PageSize::Huge2M);
-            if let Some(host_pcc) = vm.pcc.as_mut() {
-                if hw.translation.size() != PageSize::Huge1G {
-                    host_pcc.record_walk(region, hw.pmd_accessed_before);
+        self.counters.walk_levels += u64::from(effective_levels);
+        if self.flags.ledger_on {
+            let key = (self.pid as u32, access.addr.vpn(PageSize::Huge2M).index());
+            *self.region_walks.entry(key).or_insert(0) += 1;
+        }
+        if REC {
+            self.events.push((
+                at,
+                Event::Walk {
+                    core: CoreId(self.core as u32),
+                    size: walk.translation.size(),
+                    levels: nominal_levels,
+                    effective_levels,
+                    a_bit_was_set: walk.pmd_accessed_before,
+                },
+            ));
+        }
+        let l2_victim = self.tlb().fill(walk.translation);
+        // A-bit harvest, 2 MiB then 1 GiB. In victim mode (§5.4.1
+        // ablation) the feed is the L2 eviction stream: an eviction is
+        // evidence of prior residence, so it always takes the A-bit-set
+        // update path (the banks' cold-miss filter is off in this mode).
+        // Otherwise each PCC sees the access's region at its size with
+        // the PMD (2 MiB) or PUD (1 GiB) A-bit; 1 GiB leaves bypass the
+        // 2 MiB PCC.
+        let banks = self.pccs.iter_mut().zip(&mut self.pcc_feeds);
+        for ((pcc, feed), size) in banks.zip(PCC_SIZES) {
+            let Some(pcc) = pcc else {
+                continue;
+            };
+            let harvested = if self.flags.victim_mode {
+                l2_victim.map(|victim| (victim.vpn.base().vpn(size), true))
+            } else if size == PageSize::Huge1G {
+                Some((access.addr.vpn(size), walk.pud_accessed_before))
+            } else if walk.translation.size() != PageSize::Huge1G {
+                Some((access.addr.vpn(size), walk.pmd_accessed_before))
+            } else {
+                None
+            };
+            if let Some((region, a_bit)) = harvested {
+                if REC {
+                    record_pcc_walk(&mut self.events, pcc, at, self.core as u32, region, a_bit);
+                } else {
+                    feed.push((region, a_bit));
                 }
             }
-            if flags.ledger_on {
-                *host_region_walks
-                    .entry((pid as u32, region.index()))
-                    .or_insert(0) += 1;
-            }
         }
-        (walk.levels_referenced * 5 + 4, refs)
-    } else {
-        let effective = match pwc.as_mut() {
-            Some(pwc) => pwc.walk(access.addr, walk.levels_referenced),
-            None => walk.levels_referenced,
-        };
-        (walk.levels_referenced, effective)
-    };
-    counters.walk_levels += u64::from(effective_levels);
-    if flags.ledger_on {
-        let key = (pid as u32, access.addr.vpn(PageSize::Huge2M).index());
-        *region_walks.entry(key).or_insert(0) += 1;
+        Ok(walk.translation)
     }
-    if REC {
-        events.push((
-            at,
-            Event::Walk {
-                core: CoreId(core as u32),
-                size: walk.translation.size(),
-                levels: nominal_levels,
-                effective_levels,
-                a_bit_was_set: walk.pmd_accessed_before,
-            },
-        ));
-    }
-    let l2_victim = tlb.fill(walk.translation);
-    // A-bit harvest → 2 MiB PCC. In victim mode (§5.4.1 ablation) the
-    // feed is the L2 eviction stream: an eviction is evidence of prior
-    // residence, so it always takes the A-bit-set update path (the
-    // bank's cold-miss filter is off in this mode).
-    if pcc.is_some() {
-        let harvested = if flags.victim_mode {
-            l2_victim.map(|victim| (victim.vpn.base().vpn(PageSize::Huge2M), true))
-        } else if walk.translation.size() != PageSize::Huge1G {
-            Some((access.addr.vpn(PageSize::Huge2M), walk.pmd_accessed_before))
-        } else {
-            None
-        };
-        if let Some((region, a_bit)) = harvested {
-            if REC {
-                record_pcc_walk(
-                    events,
-                    pcc.as_mut().expect("checked above"),
-                    at,
-                    core as u32,
-                    region,
-                    a_bit,
-                );
-            } else {
-                pcc_feed.push((region, a_bit));
-            }
-        }
-    }
-    // Same for the 1 GiB bank, which rides the eviction feed in victim
-    // mode and the PUD A-bit otherwise.
-    if pcc_1g.is_some() {
-        let harvested = if flags.victim_mode {
-            l2_victim.map(|victim| (victim.vpn.base().vpn(PageSize::Huge1G), true))
-        } else {
-            Some((access.addr.vpn(PageSize::Huge1G), walk.pud_accessed_before))
-        };
-        if let Some((region, a_bit)) = harvested {
-            if REC {
-                record_pcc_walk(
-                    events,
-                    pcc_1g.as_mut().expect("checked above"),
-                    at,
-                    core as u32,
-                    region,
-                    a_bit,
-                );
-            } else {
-                pcc_feed_1g.push((region, a_bit));
-            }
-        }
-    }
-    Ok(walk.translation)
 }
 
 /// Reports one walk to a per-core PCC and buffers the decision as an
@@ -1020,10 +938,7 @@ fn worker_main(mut worker: ShardWorker<'_>, rx: Receiver<ToShard>, tx: Sender<Fr
 /// barrier, then redistributed.
 struct Assembled {
     tlbs: Vec<TlbHierarchy>,
-    pwcs: Option<Vec<PageWalkCache>>,
-    /// Nested mode: every core's 2D translation-cache complex, so host
-    /// shootdowns can invalidate nested entries at the barrier.
-    npwcs: Option<Vec<NestedPwc>>,
+    walkers: Vec<Walker>,
 }
 
 /// Reusable per-round coordinator buffers. A single-core round covers
@@ -1067,9 +982,8 @@ struct Coordinator<'a, 'w, R: Recorder> {
     /// keyed by `(VM pid, gPA 2 MiB region)`.
     host_ledger: Option<PromotionLedger>,
     host_region_walks: Option<RegionWalks>,
-    bank: Option<PccBank>,
-    bank_1g: Option<PccBank>,
-    has_pwc: bool,
+    /// Per-size PCC banks, indexed like [`PCC_SIZES`].
+    banks: [Option<PccBank>; 2],
     remaining: Vec<u64>,
     live: Vec<bool>,
     live_count: usize,
@@ -1287,8 +1201,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         let n = self.core_shard.len();
         let mut tlbs: Vec<Option<TlbHierarchy>> = (0..n).map(|_| None).collect();
-        let mut pwcs: Vec<Option<PageWalkCache>> = (0..n).map(|_| None).collect();
-        let mut npwcs: Vec<Option<NestedPwc>> = (0..n).map(|_| None).collect();
+        let mut walkers: Vec<Walker> = (0..n).map(|_| Walker::None).collect();
         for si in 0..self.shards.len() {
             let slice = match self.shards[si].recv() {
                 FromShard::Os(s) => *s,
@@ -1303,23 +1216,17 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             for (core, t) in slice.tlbs {
                 tlbs[core] = Some(t);
             }
-            for (core, p) in slice.pwcs {
-                pwcs[core] = Some(p);
+            for (core, w) in slice.walkers {
+                walkers[core] = w;
             }
-            for (core, p) in slice.npwcs {
-                npwcs[core] = Some(p);
-            }
-            for (core, p) in slice.pccs {
-                self.bank
-                    .as_mut()
-                    .expect("seats hold PCCs only when the bank exists")
-                    .restore(CoreId(core as u32), p);
-            }
-            for (core, p) in slice.pccs_1g {
-                self.bank_1g
-                    .as_mut()
-                    .expect("seats hold 1G PCCs only when the bank exists")
-                    .restore(CoreId(core as u32), p);
+            for (core, pccs) in slice.pccs {
+                for (bank, pcc) in self.banks.iter_mut().zip(pccs) {
+                    if let Some(pcc) = pcc {
+                        bank.as_mut()
+                            .expect("seats hold PCCs only when the bank exists")
+                            .restore(CoreId(core as u32), pcc);
+                    }
+                }
             }
             for (core, c) in slice.counters {
                 self.per_core[core] = c;
@@ -1340,28 +1247,14 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 .into_iter()
                 .map(|t| t.expect("every core surrendered its TLB"))
                 .collect(),
-            pwcs: self.has_pwc.then(|| {
-                pwcs.into_iter()
-                    .map(|p| p.expect("every core surrendered its PWC"))
-                    .collect()
-            }),
-            npwcs: self.sim.nested.is_some().then(|| {
-                npwcs
-                    .into_iter()
-                    .map(|p| p.expect("every nested core surrendered its caches"))
-                    .collect()
-            }),
+            walkers,
         }
     }
 
     /// Hands OS-visible state back to the shards after a barrier.
     fn distribute_os(&mut self, assembled: Assembled) {
-        let Assembled { tlbs, pwcs, npwcs } = assembled;
+        let Assembled { tlbs, mut walkers } = assembled;
         let mut tlbs: Vec<Option<TlbHierarchy>> = tlbs.into_iter().map(Some).collect();
-        let mut pwcs: Option<Vec<Option<PageWalkCache>>> =
-            pwcs.map(|v| v.into_iter().map(Some).collect());
-        let mut npwcs: Option<Vec<Option<NestedPwc>>> =
-            npwcs.map(|v| v.into_iter().map(Some).collect());
         for si in 0..self.shards.len() {
             let mut slice = OsSlice::default();
             for (pid, &shard) in self.process_shard.iter().enumerate() {
@@ -1382,22 +1275,14 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 slice
                     .tlbs
                     .push((core, tlbs[core].take().expect("tlb assembled")));
-                if let Some(p) = pwcs.as_mut() {
-                    slice
-                        .pwcs
-                        .push((core, p[core].take().expect("pwc assembled")));
-                }
-                if let Some(p) = npwcs.as_mut() {
-                    slice
-                        .npwcs
-                        .push((core, p[core].take().expect("nested caches assembled")));
-                }
-                if let Some(b) = self.bank.as_mut() {
-                    slice.pccs.push((core, b.take(CoreId(core as u32))));
-                }
-                if let Some(b) = self.bank_1g.as_mut() {
-                    slice.pccs_1g.push((core, b.take(CoreId(core as u32))));
-                }
+                slice
+                    .walkers
+                    .push((core, std::mem::take(&mut walkers[core])));
+                let pccs = self
+                    .banks
+                    .each_mut()
+                    .map(|b| b.as_mut().map(|b| b.take(CoreId(core as u32))));
+                slice.pccs.push((core, pccs));
             }
             self.shards[si].send(ToShard::RestoreOs(Box::new(slice)));
         }
@@ -1435,26 +1320,19 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 }
             }
             if effects.pcc_reset {
-                if let Some(bank) = self.bank.as_mut() {
+                for bank in self.banks.iter_mut().flatten() {
                     bank.clear_all();
-                }
-                if let Some(bank_1g) = self.bank_1g.as_mut() {
-                    bank_1g.clear_all();
                 }
             }
             if effects.shootdown_spike {
                 // A shootdown storm from an interfering workload: every
                 // core takes a full TLB + PWC flush, and the flush size
                 // is recorded so storm cost is observable downstream.
-                for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
+                let cores = assembled.tlbs.iter_mut().zip(&mut assembled.walkers);
+                for (core, (tlb, walker)) in cores.enumerate() {
                     let entries_flushed = tlb.resident_entries() as u64;
                     tlb.flush();
-                    if let Some(pwcs) = assembled.pwcs.as_mut() {
-                        pwcs[core].flush();
-                    }
-                    if let Some(npwcs) = assembled.npwcs.as_mut() {
-                        npwcs[core].flush();
-                    }
+                    walker.flush();
                     self.recorder.record(
                         total_accesses,
                         Event::ShootdownStorm {
@@ -1490,7 +1368,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         let report = self.policy.run_interval(
             &mut self.os,
-            self.bank.as_mut(),
+            self.banks[0].as_mut(),
             total_accesses,
             &mut self.budget,
         );
@@ -1607,15 +1485,11 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         for (pid, region) in report.shootdown_regions() {
             let mut entries_flushed = 0u64;
-            for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
+            let cores = assembled.tlbs.iter_mut().zip(&mut assembled.walkers);
+            for (core, (tlb, walker)) in cores.enumerate() {
                 if self.core_process[core] == pid.0 as usize {
                     entries_flushed += tlb.shootdown(region) as u64;
-                    if let Some(pwcs) = assembled.pwcs.as_mut() {
-                        pwcs[core].invalidate_region(region);
-                    }
-                    if let Some(npwcs) = assembled.npwcs.as_mut() {
-                        npwcs[core].invalidate_guest_region(region);
-                    }
+                    walker.invalidate_guest_region(region);
                     self.per_process[pid.0 as usize].shootdowns += 1;
                 }
             }
@@ -1631,7 +1505,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         // Audit once the interval's shootdowns have been applied
         // (TLBs/PCCs must be coherent with the page tables now).
         if let Some(auditor) = self.auditor.as_ref() {
-            let mut found = auditor.run(&self.os, &assembled.tlbs, self.bank.as_ref());
+            let mut found = auditor.run(&self.os, &assembled.tlbs, self.banks[0].as_ref());
             if let Some(ledger) = self.ledger.as_ref() {
                 found.extend(auditor.check_ledger(&self.os, ledger));
             }
@@ -1647,8 +1521,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             l2_hit_rate: dl2 as f64 / da as f64,
             promotions: report.promotions.len() as u64,
             demotions: report.demotions.len() as u64,
-            pcc_occupancy: self
-                .bank
+            pcc_occupancy: self.banks[0]
                 .as_ref()
                 .map(|b| b.total_candidates() as u64)
                 .unwrap_or(0),
@@ -1662,7 +1535,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 Event::Interval(interval_snapshot(
                     self.interval_series.len() as u64,
                     &row,
-                    self.bank.as_ref(),
+                    self.banks[0].as_ref(),
                     &self.os,
                 )),
             );
@@ -1739,8 +1612,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             // A host remap invalidates nested translations through the
             // remapped gPA region on every core of the VM.
             for (_, region) in report.shootdown_regions() {
-                if let Some(npwcs) = assembled.npwcs.as_mut() {
-                    for (core, npwc) in npwcs.iter_mut().enumerate() {
+                for (core, walker) in assembled.walkers.iter_mut().enumerate() {
+                    if let Walker::Nested(npwc) = walker {
                         if self.core_process[core] == pid {
                             npwc.invalidate_host_region(region);
                             self.per_process[pid].host_shootdowns += 1;
@@ -1800,15 +1673,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             .per_process
             .iter()
             .fold(RunCounters::default(), |acc, c| acc.merged(c));
-        let candidates_1g = self
-            .bank_1g
-            .map(|b| {
-                b.dump_by_frequency()
-                    .into_iter()
-                    .map(|c| c.candidate)
-                    .collect()
-            })
-            .unwrap_or_default();
         let bloat_bytes: Vec<u64> = self.os.spaces.iter().map(|s| s.bloat_bytes()).collect();
         let policy = match self.sim.nested.as_ref() {
             Some(nc) => format!("{}+nested-{}", self.sim.policy.label(), nc.placement),
@@ -1820,7 +1684,16 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             per_process: self.per_process,
             huge_pages_at_end: self.os.phys.huge_blocks_in_use(),
             promotion_failures: self.promotion_failures,
-            candidates_1g,
+            // The 1 GiB bank's only consumer.
+            candidates_1g: self.banks[1]
+                .as_ref()
+                .map(|b| {
+                    b.dump_by_frequency()
+                        .into_iter()
+                        .map(|c| c.candidate)
+                        .collect()
+                })
+                .unwrap_or_default(),
             schedule: self.schedule,
             interval_walk_rates: self.interval_walk_rates,
             interval_series: self.interval_series,
@@ -1867,56 +1740,32 @@ pub(crate) fn run<R: Recorder>(
     let ledger = sim.ledger.then(PromotionLedger::new);
     let region_walks = sim.ledger.then(RegionWalks::default);
 
-    let victim_entries = sim.policy.uses_victim_cache();
-    let mut bank = sim.policy.uses_pcc().then(|| {
-        PccBank::with_replacement(
-            total_cores,
-            sim.config.pcc_2m,
-            PageSize::Huge2M,
-            sim.replacement,
-        )
-    });
     // A victim cache is structurally a PCC bank fed by L2 evictions
     // with no accessed-bit filter (evictions are evidence of prior
-    // residence, so the cold-miss problem does not arise).
-    if let Some(entries) = victim_entries {
+    // residence, so the cold-miss problem does not arise). The 1 GiB
+    // bank follows the same mode selection but keeps its own sizing.
+    let victim_entries = sim.policy.uses_victim_cache();
+    let pcc_on = sim.policy.uses_pcc() || victim_entries.is_some();
+    let configs = [
+        Some(match victim_entries {
+            Some(entries) => sim.config.pcc_2m.with_entries(entries),
+            None => sim.config.pcc_2m,
+        }),
+        sim.config.pcc_1g,
+    ];
+    let mut banks: [Option<PccBank>; 2] = std::array::from_fn(|i| {
+        let cfg = configs[i].filter(|_| pcc_on)?;
         let cfg = hpage_types::PccConfig {
-            access_bit_filter: false,
-            ..sim.config.pcc_2m.with_entries(entries)
+            access_bit_filter: cfg.access_bit_filter && victim_entries.is_none(),
+            ..cfg
         };
-        bank = Some(PccBank::with_replacement(
+        Some(PccBank::with_replacement(
             total_cores,
             cfg,
-            PageSize::Huge2M,
+            PCC_SIZES[i],
             sim.replacement,
-        ));
-    }
-    // The 1 GiB bank follows the same mode selection as the 2 MiB bank:
-    // in victim mode it keeps its own sizing but drops the cold-miss
-    // filter and rides the eviction feed (it used to be silently absent
-    // in the §5.4.1 ablation, making the 2M-vs-1G comparison vacuous).
-    let mut bank_1g = match (
-        sim.policy.uses_pcc() || victim_entries.is_some(),
-        sim.config.pcc_1g,
-    ) {
-        (true, Some(cfg)) => {
-            let cfg = if victim_entries.is_some() {
-                hpage_types::PccConfig {
-                    access_bit_filter: false,
-                    ..cfg
-                }
-            } else {
-                cfg
-            };
-            Some(PccBank::with_replacement(
-                total_cores,
-                cfg,
-                PageSize::Huge1G,
-                sim.replacement,
-            ))
-        }
-        _ => None,
-    };
+        ))
+    });
 
     // Shard partition: every core of a process lands on the shard that
     // owns the process's address space. The shared-LLC cache model
@@ -1941,7 +1790,6 @@ pub(crate) fn run<R: Recorder>(
             spaces: Vec::new(),
             vms: Vec::new(),
             caches: None,
-            flags,
         })
         .collect();
     if let Some(c) = sim.cache {
@@ -1969,41 +1817,43 @@ pub(crate) fn run<R: Recorder>(
                 .iter()
                 .position(|(p, _)| *p == pi)
                 .expect("space placed before seats");
+            let walker = match (sim.nested.as_ref(), sim.config.pwc) {
+                (Some(nc), _) => Walker::Nested(NestedPwc::new(nc)),
+                (None, Some(c)) => Walker::Native(PageWalkCache::new(
+                    c.pml4e_entries,
+                    c.pdpte_entries,
+                    c.pde_entries,
+                )),
+                (None, None) => Walker::None,
+            };
+            let pccs = banks
+                .each_mut()
+                .map(|b| b.as_mut().map(|b| b.take(CoreId(core as u32))));
             worker.seats.push(CoreSeat {
-                core,
-                pid: pi,
-                space_slot,
                 trace: spec.workload.thread_stream(t, spec.threads),
-                tlb: Some(TlbHierarchy::new(sim.config.tlb)),
-                // Nested mode replaces the native PWC with the 2D
-                // cache complex (its guest arrays come from
-                // `NestedConfig::guest_pwc`); `SystemConfig::pwc` is
-                // deliberately ignored there.
-                pwc: if sim.nested.is_some() {
-                    None
-                } else {
-                    sim.config.pwc.map(|c| {
-                        PageWalkCache::new(c.pml4e_entries, c.pdpte_entries, c.pde_entries)
-                    })
+                dp: Datapath {
+                    core,
+                    pid: pi,
+                    space_slot,
+                    flags,
+                    tlb: Some(TlbHierarchy::new(sim.config.tlb)),
+                    walker,
+                    pccs,
+                    chunk_len: 0,
+                    pos: 0,
+                    ts: 0,
+                    resume_walk: false,
+                    pending_grant: None,
+                    in_round: false,
+                    chunk_base: (0, 0, 0, 0),
+                    counters: RunCounters::default(),
+                    events: Vec::new(),
+                    region_walks: RegionWalks::default(),
+                    unused_grants: Vec::new(),
+                    pcc_feeds: Default::default(),
+                    host_scratch: Vec::new(),
+                    host_region_walks: RegionWalks::default(),
                 },
-                npwc: sim.nested.as_ref().map(NestedPwc::new),
-                pcc: bank.as_mut().map(|b| b.take(CoreId(core as u32))),
-                pcc_1g: bank_1g.as_mut().map(|b| b.take(CoreId(core as u32))),
-                chunk_len: 0,
-                pos: 0,
-                ts: 0,
-                resume_walk: false,
-                pending_grant: None,
-                in_round: false,
-                chunk_base: (0, 0, 0, 0),
-                counters: RunCounters::default(),
-                events: Vec::new(),
-                region_walks: RegionWalks::default(),
-                unused_grants: Vec::new(),
-                pcc_feed: Vec::new(),
-                pcc_feed_1g: Vec::new(),
-                host_scratch: Vec::new(),
-                host_region_walks: RegionWalks::default(),
             });
             core += 1;
         }
@@ -2026,9 +1876,7 @@ pub(crate) fn run<R: Recorder>(
         vms: (0..processes.len()).map(|_| None).collect(),
         host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
         host_region_walks: (sim.ledger && sim.nested.is_some()).then(RegionWalks::default),
-        bank,
-        bank_1g,
-        has_pwc: sim.config.pwc.is_some() && sim.nested.is_none(),
+        banks,
         remaining: vec![sim.max_accesses_per_core.unwrap_or(u64::MAX); n_cores],
         live: vec![true; n_cores],
         live_count: n_cores,

@@ -669,14 +669,34 @@ mod tests {
     #[test]
     fn recording_does_not_perturb_the_simulation() {
         // The flight recorder must be pure observation: a run with a live
-        // recorder produces a SimReport identical to an unobserved run.
-        let w = random_workload(8, 150_000, 9);
-        let silent = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
-        let mut rec = MemoryRecorder::new();
-        let observed =
-            tiny_sim(PolicyChoice::pcc_default()).run_recorded(&[ProcessSpec::new(&w)], &mut rec);
-        assert_eq!(silent, observed);
-        assert!(!rec.is_empty());
+        // recorder produces a SimReport identical to an unobserved run,
+        // at any shard count, for both feeds (walk and L2 victim), with
+        // and without the 1 GiB PCC bank and the native PWC.
+        let a = random_workload(8, 60_000, 9);
+        let b = random_workload(4, 60_000, 10);
+        let specs = [ProcessSpec::new(&a), ProcessSpec::new(&b)];
+        for policy in [
+            PolicyChoice::pcc_default(),
+            PolicyChoice::VictimCache { entries: 16 },
+        ] {
+            for (giant, pwc) in [(false, false), (false, true), (true, false), (true, true)] {
+                let mut cfg = hpage_types::SystemConfig::tiny();
+                cfg.pcc_1g = giant.then(hpage_types::PccConfig::paper_1g);
+                cfg.pwc = pwc.then(hpage_types::PwcConfig::typical);
+                let sim = Simulation::new(cfg, policy.clone());
+                let silent = sim.run(&specs);
+                let case = format!("{} 1g={giant} pwc={pwc}", policy.label());
+                assert_eq!(silent.candidates_1g.is_empty(), !giant, "{case}");
+                for threads in [1, 2] {
+                    let sim = sim.clone().with_sim_threads(threads);
+                    assert_eq!(sim.run(&specs), silent, "{case} threads={threads}");
+                    let mut rec = MemoryRecorder::new();
+                    let observed = sim.run_recorded(&specs, &mut rec);
+                    assert_eq!(observed, silent, "{case} threads={threads} recorded");
+                    assert!(!rec.is_empty());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1020,6 +1040,28 @@ mod tests {
             counts.get("fault_injected").copied().unwrap_or(0) >= 4,
             "expected one fault_injected per distinct fault kind; got {counts:?}"
         );
+    }
+
+    #[test]
+    fn fragmented_pcc_demotion_run_is_audit_clean() {
+        // On 90%-fragmented memory promotion stops early (no frames or
+        // budget); stale candidates further down the list must still be
+        // swept from the bank, or leaf walks keep them resident and the
+        // auditor reports `StalePccCandidate`.
+        let a = random_workload(24, 300_000, 3);
+        let b = random_workload(16, 300_000, 4);
+        let report = tiny_sim(PolicyChoice::Pcc {
+            selection: PromotionPolicyKind::HighestFrequency,
+            demotion: true,
+            bias: Vec::new(),
+        })
+        .with_fragmentation(90, 7)
+        .with_degradation(hpage_os::DegradationConfig::default())
+        .with_audit()
+        .try_run(&[ProcessSpec::new(&a), ProcessSpec::new(&b)])
+        .unwrap();
+        assert!(report.aggregate.promotions > 0);
+        assert_eq!(report.audit_violations, Vec::new());
     }
 
     #[test]

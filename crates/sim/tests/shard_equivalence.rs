@@ -3,7 +3,7 @@
 //!
 //! The unit tests in `simulation.rs` pin a handful of hand-picked
 //! scenarios; this suite samples the space — policy × fault plan ×
-//! process mix × worker count — and requires, for every draw, that the
+//! PCC sizes × walker × process mix × worker count — and requires, for every draw, that the
 //! sharded run reproduces the sequential run **byte-for-byte**: the
 //! [`SimReport`] (which carries per-process stats, interval series,
 //! audit findings, and the promotion ledger via `PartialEq`) and the
@@ -17,7 +17,7 @@
 use hpage_faults::{FaultKind, FaultPlan, FaultWindow};
 use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation};
 use hpage_trace::{Pattern, SyntheticBuilder, SyntheticWorkload, Workload};
-use hpage_types::SystemConfig;
+use hpage_types::{PccConfig, PwcConfig, SystemConfig};
 use proptest::prelude::*;
 
 /// One tenant: a synthetic workload whose pattern, footprint, and
@@ -100,15 +100,26 @@ fn faults(index: u64) -> Option<FaultPlan> {
     Some(FaultPlan::new("shard-equivalence", windows).expect("static plan is valid"))
 }
 
+/// The tiny machine, optionally with the 1 GiB PCC bank and the
+/// native page-walk cache.
+fn system(giant_pcc: bool, pwc: bool) -> SystemConfig {
+    SystemConfig {
+        pcc_1g: giant_pcc.then(PccConfig::paper_1g),
+        pwc: pwc.then(PwcConfig::typical),
+        ..SystemConfig::tiny()
+    }
+}
+
 /// Runs one configuration to completion and captures everything
 /// observable: the report and the serialized event stream.
 fn run(
+    system: SystemConfig,
     policy: PolicyChoice,
     plan: Option<FaultPlan>,
     tenants: &[SyntheticWorkload],
     sim_threads: usize,
 ) -> (SimReport, String) {
-    let mut sim = Simulation::new(SystemConfig::tiny(), policy)
+    let mut sim = Simulation::new(system, policy)
         .with_ledger()
         .with_audit()
         .with_sim_threads(sim_threads);
@@ -131,6 +142,8 @@ proptest! {
     fn sharded_engine_matches_sequential(
         policy_index in 0u64..5,
         fault_index in 0u64..3,
+        giant_pcc in any::<bool>(),
+        pwc in any::<bool>(),
         seeds in prop::collection::vec(1u64..10_000, 1..5),
         sim_threads in 2usize..9,
     ) {
@@ -139,10 +152,11 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| workload(i, s))
             .collect();
+        let cfg = system(giant_pcc, pwc);
         let (seq_report, seq_events) =
-            run(policy(policy_index), faults(fault_index), &tenants, 1);
+            run(cfg.clone(), policy(policy_index), faults(fault_index), &tenants, 1);
         let (par_report, par_events) =
-            run(policy(policy_index), faults(fault_index), &tenants, sim_threads);
+            run(cfg, policy(policy_index), faults(fault_index), &tenants, sim_threads);
         prop_assert!(
             seq_report.audit_violations.is_empty(),
             "sequential run violated invariants: {:?}",
@@ -151,18 +165,22 @@ proptest! {
         prop_assert_eq!(
             &par_report,
             &seq_report,
-            "report diverged: policy {} faults {} tenants {:?} threads {}",
+            "report diverged: policy {} faults {} 1g {} pwc {} tenants {:?} threads {}",
             policy_index,
             fault_index,
+            giant_pcc,
+            pwc,
             seeds,
             sim_threads
         );
         prop_assert_eq!(
             &par_events,
             &seq_events,
-            "event stream diverged: policy {} faults {} tenants {:?} threads {}",
+            "event stream diverged: policy {} faults {} 1g {} pwc {} tenants {:?} threads {}",
             policy_index,
             fault_index,
+            giant_pcc,
+            pwc,
             seeds,
             sim_threads
         );

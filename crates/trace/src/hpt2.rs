@@ -961,22 +961,11 @@ mod tests {
         let full = encode(&accesses, 64);
         for cut in [full.len() - 1, full.len() - 5, full.len() / 2, 9] {
             let bytes = &full[..cut];
-            let mut ok = true;
-            match Hpt2Reader::new(bytes) {
-                Ok(r) => {
-                    for item in r {
-                        if item.is_err() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    // A truncated stream must either error or have
-                    // stopped before the (missing) validated trailer.
-                    if ok {
-                        panic!("truncated at {cut}: reader finished cleanly");
-                    }
-                }
-                Err(_) => {}
+            if let Ok(r) = Hpt2Reader::new(bytes) {
+                // A truncated stream must either error or have stopped
+                // before the (missing) validated trailer.
+                let ok = r.into_iter().all(|item| item.is_ok());
+                assert!(!ok, "truncated at {cut}: reader finished cleanly");
             }
             let path = temp_trace("trunc", bytes);
             assert!(MmapTrace::open("t", &path).is_err(), "truncated at {cut}");

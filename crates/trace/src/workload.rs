@@ -40,19 +40,6 @@ pub trait TraceStream {
     ///
     /// [`next_window`]: Self::next_window
     fn window(&self) -> &[MemoryAccess];
-
-    /// Appends up to `max` accesses to `buf`, returning how many were
-    /// produced. Compatibility shim over [`next_window`]; returns 0
-    /// when the trace is exhausted. Note it advances the stream, so it
-    /// must not be mixed with window-style consumption of the same
-    /// chunk.
-    ///
-    /// [`next_window`]: Self::next_window
-    fn fill(&mut self, buf: &mut Vec<MemoryAccess>, max: usize) -> usize {
-        let w = self.next_window(max);
-        buf.extend_from_slice(w);
-        w.len()
-    }
 }
 
 /// Adapts any access iterator into a [`TraceStream`] by buffering one
@@ -233,19 +220,6 @@ mod tests {
         assert_eq!(s.next_window(16).len(), 1);
         assert_eq!(s.window().len(), 1, "window re-borrows without advancing");
         assert!(s.next_window(16).is_empty(), "exhausted stream yields 0");
-    }
-
-    #[test]
-    fn fill_shim_respects_max_and_appends() {
-        let accesses: Vec<MemoryAccess> = (0..10)
-            .map(|i| MemoryAccess::read(VirtAddr::new(0x1000 + i * 8)))
-            .collect();
-        let mut it = IterStream::new(accesses.clone().into_iter());
-        let mut buf = Vec::new();
-        assert_eq!(it.fill(&mut buf, 4), 4);
-        assert_eq!(it.fill(&mut buf, 4), 4);
-        assert_eq!(it.fill(&mut buf, 4), 2);
-        assert_eq!(buf, accesses);
     }
 
     #[test]

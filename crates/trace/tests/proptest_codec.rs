@@ -136,13 +136,10 @@ proptest! {
         // Streaming reader: must surface an error (the trailer cannot
         // validate), and any records yielded first must be a correct
         // prefix (block checksums gate every decoded record).
-        match Hpt2Reader::new(truncated) {
-            Ok(r) => {
-                let (prefix, errored) = decode_prefix(r);
-                prop_assert!(errored, "cut at {} of {} read cleanly", cut, bytes.len());
-                prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
-            }
-            Err(_) => {}
+        if let Ok(r) = Hpt2Reader::new(truncated) {
+            let (prefix, errored) = decode_prefix(r);
+            prop_assert!(errored, "cut at {} of {} read cleanly", cut, bytes.len());
+            prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
         }
 
         // Mmap reader validates at open: must refuse the file.
@@ -167,25 +164,19 @@ proptest! {
         // reader either errors or (for flips in don't-care positions,
         // e.g. growing the declared max block size) yields the exact
         // original trace.
-        match Hpt2Reader::new(bytes.as_slice()) {
-            Ok(r) => {
-                let (prefix, errored) = decode_prefix(r);
-                if errored {
-                    prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
-                } else {
-                    prop_assert_eq!(&prefix[..], &accesses[..]);
-                }
+        if let Ok(r) = Hpt2Reader::new(bytes.as_slice()) {
+            let (prefix, errored) = decode_prefix(r);
+            if errored {
+                prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
+            } else {
+                prop_assert_eq!(&prefix[..], &accesses[..]);
             }
-            Err(_) => {}
         }
 
         let path = temp_trace("corrupt", case, &bytes);
-        match MmapTrace::open("prop", &path) {
-            Ok(mapped) => {
-                let replayed: Vec<MemoryAccess> = mapped.trace().collect();
-                prop_assert_eq!(replayed, &accesses[..]);
-            }
-            Err(_) => {}
+        if let Ok(mapped) = MmapTrace::open("prop", &path) {
+            let replayed: Vec<MemoryAccess> = mapped.trace().collect();
+            prop_assert_eq!(replayed, &accesses[..]);
         }
         std::fs::remove_file(&path).unwrap();
     }
