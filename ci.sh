@@ -91,12 +91,18 @@ HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
 HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
     --threads 4 --jobs 1 --quiet > /tmp/ci_mem_j1.txt
 cmp /tmp/ci_mem_j1.txt /tmp/ci_map_j8.txt
-# Legacy HPT1 container replays to the same report (format sniffing).
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --trace-format hpt1 \
-    --trace-out /tmp/ci_trace.hpt1 --max-accesses 200000 > /dev/null
-HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt1 \
-    --threads 4 --quiet > /tmp/ci_mem_hpt1.txt
-cmp /tmp/ci_mem_1.txt /tmp/ci_mem_hpt1.txt
+# --trace-info reads the trace through the in-memory entry point.
+./target/release/hpsim --trace-info /tmp/ci_trace.hpt2 > /tmp/ci_trace_info.txt
+grep -q '^records ' /tmp/ci_trace_info.txt
+# A truncated trace must be refused by both entry points.
+head -c 4096 /tmp/ci_trace.hpt2 > /tmp/ci_trace_cut.hpt2
+for mmap in "" --mmap; do
+    if HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace_cut.hpt2 \
+        $mmap --quiet > /dev/null 2>&1; then
+        echo "hpsim replayed a truncated trace ($mmap)" >&2
+        exit 1
+    fi
+done
 
 echo "== consolidation smoke: 32 tenants, fairness + storms in artifact =="
 HPAGE_PROFILE=test ./target/release/repro --consolidation --tenants 32 \

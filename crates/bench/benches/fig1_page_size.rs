@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpage_bench::bench_profile;
-use hpage_sim::fig1_page_sizes;
+use hpage_sim::{fig1_page_sizes_on, Harness};
 use hpage_trace::AppId;
 use std::hint::black_box;
 
@@ -12,7 +12,13 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1");
     g.sample_size(10);
     g.bench_function("page_sizes_canneal_dedup", |b| {
-        b.iter(|| black_box(fig1_page_sizes(&profile, &[AppId::Canneal, AppId::Dedup])))
+        b.iter(|| {
+            black_box(fig1_page_sizes_on(
+                &Harness::sequential(),
+                &profile,
+                &[AppId::Canneal, AppId::Dedup],
+            ))
+        })
     });
     g.finish();
 }

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpage_bench::bench_profile;
-use hpage_sim::fig6_pcc_size;
+use hpage_sim::{fig6_pcc_size_on, Harness};
 use hpage_trace::AppId;
 use std::hint::black_box;
 
@@ -11,7 +11,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig6");
     g.sample_size(10);
     g.bench_function("pcc_size_canneal", |b| {
-        b.iter(|| black_box(fig6_pcc_size(&profile, &[AppId::Canneal], &[4, 32, 128])))
+        b.iter(|| {
+            black_box(fig6_pcc_size_on(
+                &Harness::sequential(),
+                &profile,
+                &[AppId::Canneal],
+                &[4, 32, 128],
+            ))
+        })
     });
     g.finish();
 }

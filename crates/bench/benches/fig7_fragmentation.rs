@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpage_bench::bench_profile;
-use hpage_sim::fig7_fragmentation;
+use hpage_sim::{fig7_fragmentation_on, Harness};
 use hpage_trace::AppId;
 use std::hint::black_box;
 
@@ -11,7 +11,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7");
     g.sample_size(10);
     g.bench_function("fragmentation90_omnetpp", |b| {
-        b.iter(|| black_box(fig7_fragmentation(&profile, &[AppId::Omnetpp], 90)))
+        b.iter(|| {
+            black_box(fig7_fragmentation_on(
+                &Harness::sequential(),
+                &profile,
+                &[AppId::Omnetpp],
+                90,
+            ))
+        })
     });
     g.finish();
 }

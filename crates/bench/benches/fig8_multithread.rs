@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpage_bench::bench_profile;
-use hpage_sim::fig8_multithread;
+use hpage_sim::{fig8_multithread_on, Harness};
 use hpage_trace::AppId;
 use std::hint::black_box;
 
@@ -11,7 +11,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
     g.bench_function("multithread2_canneal", |b| {
-        b.iter(|| black_box(fig8_multithread(&profile, &[AppId::Canneal], &[2], &[0, 8])))
+        b.iter(|| {
+            black_box(fig8_multithread_on(
+                &Harness::sequential(),
+                &profile,
+                &[AppId::Canneal],
+                &[2],
+                &[0, 8],
+            ))
+        })
     });
     g.finish();
 }

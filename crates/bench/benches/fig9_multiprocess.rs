@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpage_bench::bench_profile;
-use hpage_sim::{fig9_multiprocess, Fig9Config};
+use hpage_sim::{fig9_multiprocess_on, Fig9Config, Harness};
 use hpage_trace::AppId;
 use std::hint::black_box;
 
@@ -12,7 +12,8 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("multiprocess_omnetpp_dedup", |b| {
         b.iter(|| {
-            black_box(fig9_multiprocess(
+            black_box(fig9_multiprocess_on(
+                &Harness::sequential(),
                 &profile,
                 Fig9Config {
                     app_a: AppId::Omnetpp,

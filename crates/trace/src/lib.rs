@@ -26,7 +26,6 @@ mod catalog;
 mod graph;
 mod hpt2;
 mod hugebuf;
-mod io;
 mod kernels;
 mod layout;
 mod mmap;
@@ -40,9 +39,8 @@ pub use catalog::{
     instantiate, paper_table1, AnyWorkload, AppId, CatalogRow, Dataset, WorkloadScale,
 };
 pub use graph::{degree_based_grouping, generate_rmat, CsrGraph, RmatParams};
-pub use hpt2::{Hpt2Reader, Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
+pub use hpt2::{Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
 pub use hugebuf::{HugeVec, HUGE_PAGE_BYTES};
-pub use io::{TraceReader, TraceWriter};
 pub use kernels::{GraphKernel, GraphWorkload};
 pub use layout::{AddressSpaceBuilder, ArrayLayout, HEAP_BASE};
 pub use mmap::{Advice, Mmap};

@@ -1,18 +1,15 @@
 //! Replaying captured traces: a [`Workload`] backed by a recorded access
-//! stream (e.g. an `HPT1`/`HPT2` file written by [`TraceWriter`] /
-//! [`Hpt2Writer`], or a trace captured from a real binary with a
-//! Pin-like tool and converted).
+//! stream (e.g. an `HPT2` file written by [`Hpt2Writer`], or a trace
+//! captured from a real binary with a Pin-like tool and converted).
 //!
 //! This closes the loop of the paper's methodology: their offline
 //! simulation consumed Pin traces of real executions; ours can consume
 //! any recorded stream through the same [`Workload`] interface the
 //! synthetic generators implement.
 //!
-//! [`TraceWriter`]: crate::io::TraceWriter
 //! [`Hpt2Writer`]: crate::hpt2::Hpt2Writer
 
 use crate::hugebuf::HugeVec;
-use crate::io::TraceReader;
 use crate::workload::{TraceStream, Workload};
 use hpage_types::{MemoryAccess, PageSize, Region, VirtAddr};
 use std::io::{self, Read};
@@ -36,48 +33,34 @@ pub struct RecordedWorkload {
 impl RecordedWorkload {
     /// Builds a workload from accesses already in memory.
     pub fn new(name: impl Into<String>, accesses: Vec<MemoryAccess>) -> Self {
-        RecordedWorkload::from_huge(name, HugeVec::from(&accesses[..]))
-    }
-
-    pub(crate) fn from_huge(name: impl Into<String>, accesses: HugeVec<MemoryAccess>) -> Self {
-        let regions = coalesce_regions(&accesses);
         RecordedWorkload {
             name: name.into(),
-            accesses,
-            regions,
+            regions: coalesce_regions(&accesses),
+            accesses: HugeVec::from(&accesses[..]),
         }
     }
 
-    /// Reads a trace file fully into memory, auto-detecting the format
-    /// from the magic (`HPT1` record stream or blocked `HPT2`).
+    /// Reads a whole `HPT2` trace into memory. The bytes go through the
+    /// same validating parser as [`MmapTrace::open`], so both entry
+    /// points accept and reject exactly the same inputs.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and format errors from the reader; unknown magic
-    /// is `InvalidData`.
+    /// Propagates I/O errors from the reader. A malformed trace is
+    /// `InvalidData`/`UnexpectedEof`; a retired `HPT1` trace is
+    /// `InvalidData`, with a message saying to re-record it.
+    ///
+    /// [`MmapTrace::open`]: crate::MmapTrace::open
     pub fn from_reader<R: Read>(name: impl Into<String>, mut reader: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
         let mut accesses = HugeVec::new();
-        match &magic {
-            crate::io::HPT1_MAGIC => {
-                for rec in TraceReader::after_magic(reader) {
-                    accesses.push(rec?);
-                }
-            }
-            crate::hpt2::HPT2_MAGIC => {
-                for rec in crate::hpt2::Hpt2Reader::after_magic(reader)? {
-                    accesses.push(rec?);
-                }
-            }
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not an HPT1/HPT2 trace file",
-                ))
-            }
-        }
-        Ok(RecordedWorkload::from_huge(name, accesses))
+        let trace = crate::hpt2::validate(&bytes, Some(&mut accesses))?;
+        Ok(RecordedWorkload {
+            name: name.into(),
+            accesses,
+            regions: trace.regions,
+        })
     }
 
     /// Number of recorded accesses.
@@ -109,9 +92,9 @@ fn coalesce_regions(accesses: &[MemoryAccess]) -> Vec<Region> {
 }
 
 /// Coalesces a sorted, deduplicated list of 2 MiB region indices into
-/// maximal contiguous [`Region`]s. Shared by [`RecordedWorkload`] and
-/// the `HPT2` trailer path so both derive byte-identical footprints
-/// from the same touched set.
+/// maximal contiguous [`Region`]s. Shared by [`RecordedWorkload::new`]
+/// and the `HPT2` parser so both derive byte-identical footprints from
+/// the same touched set.
 pub(crate) fn coalesce_sorted_indices(indices: &[u64]) -> Vec<Region> {
     let mut regions = Vec::new();
     let mut run: Option<(u64, u64)> = None; // (first, last)
@@ -231,7 +214,7 @@ impl Workload for RecordedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::TraceWriter;
+    use crate::hpt2::Hpt2Writer;
 
     fn acc(addr: u64) -> MemoryAccess {
         MemoryAccess::read(VirtAddr::new(addr))
@@ -267,7 +250,7 @@ mod tests {
         let original: Vec<MemoryAccess> =
             (0..500u64).map(|i| acc(0x1000_0000 + i * 0x777)).collect();
         let mut buf = Vec::new();
-        let mut tw = TraceWriter::new(&mut buf).unwrap();
+        let mut tw = Hpt2Writer::new(&mut buf).unwrap();
         tw.write_all(original.iter().copied()).unwrap();
         tw.finish().unwrap();
         let w = RecordedWorkload::from_reader("replay", buf.as_slice()).unwrap();
