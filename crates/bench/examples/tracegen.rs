@@ -112,7 +112,7 @@ fn main() {
     for app in AppId::ALL {
         let pw = instantiate(app, Dataset::Kronecker, profile.workloads, 0xC0FFEE);
         let mut p = profile.clone().sized_for(pw.footprint_bytes());
-        p.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb_clamped(
+        p.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb(
             p.system.tlb.l2.entries,
         ));
         let r = Simulation::new(p.system.clone(), PolicyChoice::BasePages)

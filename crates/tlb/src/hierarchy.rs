@@ -71,9 +71,9 @@ impl TlbHierarchyStats {
 #[derive(Debug, Clone)]
 pub struct TlbHierarchy {
     config: TlbConfig,
-    l1_4k: SetAssocTlb,
-    l1_2m: SetAssocTlb,
-    l1_1g: SetAssocTlb,
+    /// Split L1s indexed by `size as usize`, like
+    /// [`TlbHierarchyStats::l1_hits_by_size`].
+    l1: [SetAssocTlb; 3],
     l2: SetAssocTlb,
     /// Full-hierarchy misses. Hits are *not* counted here — each level
     /// already counts its own, and [`stats`](Self::stats) assembles the
@@ -100,9 +100,7 @@ impl TlbHierarchy {
     /// Panics if any level's geometry is invalid.
     pub fn new(config: TlbConfig) -> Self {
         TlbHierarchy {
-            l1_4k: SetAssocTlb::new(config.l1_4k),
-            l1_2m: SetAssocTlb::new(config.l1_2m),
-            l1_1g: SetAssocTlb::new(config.l1_1g),
+            l1: PageSize::ALL.map(|size| SetAssocTlb::new(config.l1_for(size))),
             l2: SetAssocTlb::new(config.l2),
             config,
             walks: 0,
@@ -120,11 +118,7 @@ impl TlbHierarchy {
     /// levels count their own hits; only walks and the L2 size breakdown
     /// live here).
     pub fn stats(&self) -> TlbHierarchyStats {
-        let l1_hits_by_size = [
-            self.l1_4k.stats().hits,
-            self.l1_2m.stats().hits,
-            self.l1_1g.stats().hits,
-        ];
+        let l1_hits_by_size = self.l1.each_ref().map(|l1| l1.stats().hits);
         let l1_hits = l1_hits_by_size.iter().sum::<u64>();
         let l2_hits = self.l2.stats().hits;
         TlbHierarchyStats {
@@ -139,11 +133,7 @@ impl TlbHierarchy {
 
     #[inline(always)]
     fn l1_for(&mut self, size: PageSize) -> &mut SetAssocTlb {
-        match size {
-            PageSize::Base4K => &mut self.l1_4k,
-            PageSize::Huge2M => &mut self.l1_2m,
-            PageSize::Huge1G => &mut self.l1_1g,
-        }
+        &mut self.l1[size as usize]
     }
 
     /// Looks up `va`. On an L2 hit the entry is promoted into the L1 of
@@ -210,23 +200,24 @@ impl TlbHierarchy {
     /// from all levels (stale base-page translations after promotion, or a
     /// stale huge translation after demotion). Returns total removed.
     pub fn shootdown(&mut self, region: Vpn) -> usize {
-        self.l1_4k.invalidate_region(region)
-            + self.l1_2m.invalidate_region(region)
-            + self.l1_1g.invalidate_region(region)
-            + self.l2.invalidate_region(region)
+        self.l1
+            .iter_mut()
+            .chain([&mut self.l2])
+            .map(|level| level.invalidate_region(region))
+            .sum()
     }
 
     /// Flushes every level (e.g. on context switch).
     pub fn flush(&mut self) {
-        self.l1_4k.flush();
-        self.l1_2m.flush();
-        self.l1_1g.flush();
-        self.l2.flush();
+        self.l1
+            .iter_mut()
+            .chain([&mut self.l2])
+            .for_each(SetAssocTlb::flush);
     }
 
     /// Total resident entries across all levels.
     pub fn resident_entries(&self) -> usize {
-        self.l1_4k.len() + self.l1_2m.len() + self.l1_1g.len() + self.l2.len()
+        self.l1.iter().chain([&self.l2]).map(SetAssocTlb::len).sum()
     }
 
     /// Every translation resident anywhere in the hierarchy, in no
@@ -234,11 +225,10 @@ impl TlbHierarchy {
     /// appears twice — the invariant auditor checks each copy against the
     /// live page table, so duplicates are intentional.
     pub fn resident_translations(&self) -> Vec<Translation> {
-        self.l1_4k
-            .entries()
-            .chain(self.l1_2m.entries())
-            .chain(self.l1_1g.entries())
-            .chain(self.l2.entries())
+        self.l1
+            .iter()
+            .chain([&self.l2])
+            .flat_map(SetAssocTlb::entries)
             .collect()
     }
 }

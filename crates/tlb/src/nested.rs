@@ -19,7 +19,9 @@
 //! paging viable: split guest paging-structure caches (VA-tagged),
 //! split host paging-structure caches (gPA-tagged), and a fully
 //! associative nested TLB caching gPA→hPA page translations (an nTLB
-//! hit skips the host walk entirely). All seven arrays share one
+//! hit skips the host walk entirely). Each dimension's structure caches
+//! are the same type, and run the same walk rule, as the native
+//! [`PageWalkCache`](crate::PageWalkCache). All seven arrays share one
 //! monotonically increasing stamp counter, so every LRU decision is
 //! total-ordered and representation-independent — which is what lets
 //! [`ReferenceNestedWalker`], a naive `BTreeMap`-based model, predict
@@ -31,6 +33,7 @@
 //! [`TABLE_GPA_BASE`], far above any guest data frame, so table and
 //! data gPAs never collide and the scheme needs no allocator state.
 
+use crate::pwc::{LruArray, StructureCache};
 use crate::table::WalkResult;
 use hpage_types::{HpageError, NestedConfig, PageSize, VirtAddr, Vpn};
 use std::collections::BTreeMap;
@@ -149,81 +152,14 @@ impl NestedPwcStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tag: u64,
-    stamp: u64,
-}
-
-/// Fully associative LRU array keyed by a region tag. Recency comes
-/// from the owner's shared stamp counter, bumped on *every* touch, so
-/// stamps are globally unique and the LRU victim is always unique.
-#[derive(Debug, Clone)]
-struct LruArray {
-    entries: Vec<Entry>,
-    capacity: usize,
-}
-
-impl LruArray {
-    fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "nested PWC arrays need at least one entry");
-        LruArray {
-            entries: Vec::with_capacity(capacity as usize),
-            capacity: capacity as usize,
-        }
-    }
-
-    fn probe(&mut self, tag: u64, stamp: &mut u64) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            *stamp += 1;
-            e.stamp = *stamp;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn install(&mut self, tag: u64, stamp: &mut u64) {
-        if self.probe(tag, stamp) {
-            return;
-        }
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            self.entries.swap_remove(lru);
-        }
-        *stamp += 1;
-        self.entries.push(Entry { tag, stamp: *stamp });
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| keep(e.tag));
-        before - self.entries.len()
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// Two-dimensional paging-structure caches plus nested TLB for one
 /// core. See the module docs for the cost model.
 #[derive(Debug, Clone)]
 pub struct NestedPwc {
-    // Guest dimension, tagged by guest-virtual prefixes.
-    g_pml4e: LruArray,
-    g_pdpte: LruArray,
-    g_pde: LruArray,
-    // Host dimension, tagged by guest-physical prefixes.
-    h_pml4e: LruArray,
-    h_pdpte: LruArray,
-    h_pde: LruArray,
+    /// Guest dimension, tagged by guest-virtual prefixes.
+    guest: StructureCache,
+    /// Host dimension, tagged by guest-physical prefixes.
+    host: StructureCache,
     /// gPA→hPA translations tagged at the *host mapping's* size (see
     /// [`ntlb_tag`]): one entry covers a 4 KiB page, a whole 2 MiB
     /// region, or a whole 1 GiB region. This reach multiplication is
@@ -242,12 +178,8 @@ impl NestedPwc {
     /// [`NestedConfig::validate`] first).
     pub fn new(config: &NestedConfig) -> Self {
         NestedPwc {
-            g_pml4e: LruArray::new(config.guest_pwc.pml4e_entries),
-            g_pdpte: LruArray::new(config.guest_pwc.pdpte_entries),
-            g_pde: LruArray::new(config.guest_pwc.pde_entries),
-            h_pml4e: LruArray::new(config.host_pwc.pml4e_entries),
-            h_pdpte: LruArray::new(config.host_pwc.pdpte_entries),
-            h_pde: LruArray::new(config.host_pwc.pde_entries),
+            guest: StructureCache::new(&config.guest_pwc),
+            host: StructureCache::new(&config.host_pwc),
             ntlb: LruArray::new(config.ntlb_entries),
             stamp: 0,
             stats: NestedPwcStats::default(),
@@ -296,43 +228,12 @@ impl NestedPwc {
         host_walks.clear();
         self.stats.walks += 1;
 
-        // Guest dimension: identical semantics to the native
-        // PageWalkCache — deepest hit wins, leaves are never cached,
-        // the walked non-leaf prefix is installed.
-        let tag_512g = va.raw() >> 39;
-        let tag_1g = va.raw() >> 30;
-        let tag_2m = va.raw() >> 21;
-        let referenced: u8;
-        if leaf == 4 && self.g_pde.probe(tag_2m, &mut self.stamp) {
-            referenced = 1;
-        } else if leaf >= 3 && self.g_pdpte.probe(tag_1g, &mut self.stamp) {
-            referenced = leaf - 2;
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else if self.g_pml4e.probe(tag_512g, &mut self.stamp) {
-            referenced = leaf - 1;
-            if leaf >= 3 {
-                self.g_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else {
-            referenced = leaf;
-            self.g_pml4e.install(tag_512g, &mut self.stamp);
-            if leaf >= 3 {
-                self.g_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        }
+        let hit = self.guest.walk(va, leaf, &mut self.stamp);
 
         // Host dimension: one entry read per referenced guest level,
         // each preceded by a gPA→hPA translation, plus the data page.
         let mut refs: u8 = 0;
-        for level in (leaf - referenced + 1)..=leaf {
+        for level in hit + 1..=leaf {
             refs += self.host_refs(table_page_gpa(level, va), host, host_walks)? + 1;
         }
         refs += self.host_refs(data_gpa, host, host_walks)?;
@@ -366,35 +267,7 @@ impl NestedPwc {
         self.stats.ntlb_misses += 1;
         let walk = host.walk_gpa(gpa)?;
         let hleaf = walk.levels_referenced;
-        let tag_512g = gpa.raw() >> 39;
-        let tag_1g = gpa.raw() >> 30;
-        let tag_2m = gpa.raw() >> 21;
-        let referenced: u8;
-        if hleaf == 4 && self.h_pde.probe(tag_2m, &mut self.stamp) {
-            referenced = 1;
-        } else if hleaf >= 3 && self.h_pdpte.probe(tag_1g, &mut self.stamp) {
-            referenced = hleaf - 2;
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else if self.h_pml4e.probe(tag_512g, &mut self.stamp) {
-            referenced = hleaf - 1;
-            if hleaf >= 3 {
-                self.h_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else {
-            referenced = hleaf;
-            self.h_pml4e.install(tag_512g, &mut self.stamp);
-            if hleaf >= 3 {
-                self.h_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        }
+        let referenced = hleaf - self.host.walk(gpa, hleaf, &mut self.stamp);
         self.ntlb
             .install(ntlb_tag(walk.translation.size(), gpa), &mut self.stamp);
         host_walks.push(walk);
@@ -407,30 +280,22 @@ impl NestedPwc {
     /// issued on guest promotion/demotion shootdowns. Returns entries
     /// dropped.
     pub fn invalidate_guest_region(&mut self, region: Vpn) -> usize {
-        let g = region.containing(PageSize::Huge1G).index();
-        let m = region.index();
-        self.g_pdpte.retain(|tag| tag != g) + self.g_pde.retain(|tag| tag != m)
+        self.guest.invalidate_region(region)
     }
 
     /// Drops host-side structure entries and nested-TLB translations
     /// covering a guest-physical 2 MiB region, issued when the host
     /// remaps it (host promotion/demotion). Returns entries dropped.
     pub fn invalidate_host_region(&mut self, region: Vpn) -> usize {
-        let g = region.containing(PageSize::Huge1G).index();
         let m = region.index();
-        self.h_pdpte.retain(|tag| tag != g)
-            + self.h_pde.retain(|tag| tag != m)
+        self.host.invalidate_region(region)
             + self.ntlb.retain(|tag| !ntlb_tag_covers_2m_region(tag, m))
     }
 
     /// Empties every array (shootdown storms flush the whole complex).
     pub fn flush(&mut self) {
-        self.g_pml4e.clear();
-        self.g_pdpte.clear();
-        self.g_pde.clear();
-        self.h_pml4e.clear();
-        self.h_pdpte.clear();
-        self.h_pde.clear();
+        self.guest.clear();
+        self.host.clear();
         self.ntlb.clear();
     }
 }
@@ -673,6 +538,48 @@ impl ReferenceNestedWalker {
         refs += self.host_refs(data_gpa, host)?;
         Ok(refs)
     }
+
+    /// Drops the PDPTE and PDE entries covering a 2 MiB region from one
+    /// dimension's arrays; returns entries dropped.
+    fn dim_invalidate(arrays: &mut [ReferenceArray; 3], region: Vpn) -> usize {
+        let base = region.index() << 21;
+        (2..=3u8)
+            .filter(|&level| {
+                arrays[level as usize - 1]
+                    .map
+                    .remove(&level_tag(base, level))
+                    .is_some()
+            })
+            .count()
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::invalidate_guest_region`].
+    pub fn invalidate_guest_region(&mut self, region: Vpn) -> usize {
+        Self::dim_invalidate(&mut self.guest, region)
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::invalidate_host_region`]:
+    /// also drops the region's 512 base-page nTLB entries (one tag
+    /// range), its 2 MiB entry and the covering 1 GiB entry.
+    pub fn invalidate_host_region(&mut self, region: Vpn) -> usize {
+        let base = VirtAddr::new(region.index() << 21);
+        let first = ntlb_tag(PageSize::Base4K, base);
+        let before = self.ntlb.map.len();
+        self.ntlb.map.retain(|&tag, _| {
+            !(first..first + 512).contains(&tag)
+                && tag != ntlb_tag(PageSize::Huge2M, base)
+                && tag != ntlb_tag(PageSize::Huge1G, base)
+        });
+        Self::dim_invalidate(&mut self.host, region) + before - self.ntlb.map.len()
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::flush`].
+    pub fn flush(&mut self) {
+        for array in self.guest.iter_mut().chain(&mut self.host) {
+            array.map.clear();
+        }
+        self.ntlb.map.clear();
+    }
 }
 
 #[cfg(test)]
@@ -900,7 +807,7 @@ mod tests {
     proptest! {
         #[test]
         fn fast_walker_matches_reference_model(
-            ops in prop::collection::vec((0u64..64, 0u8..8), 1..400),
+            ops in prop::collection::vec((0u64..64, 0u8..8, 0u8..16), 1..400),
             huge2m in prop::collection::hash_set(0u64..16, 0..8),
             huge1g in prop::collection::hash_set(0u64..2, 0..2),
         ) {
@@ -926,7 +833,7 @@ mod tests {
                 ref_host.prefer_1g(seg);
             }
             let mut scratch = Vec::new();
-            for (i, &(page, sel)) in ops.iter().enumerate() {
+            for (i, &(page, sel, kind)) in ops.iter().enumerate() {
                 let va = VirtAddr::new(page << 12 | (page & 3) << 30);
                 // Guest leaf level fixed per 1 GiB VA region: a mix of
                 // 4 KiB / 2 MiB / 1 GiB guest mappings.
@@ -937,13 +844,39 @@ mod tests {
                     _ => 2 + (sel % 3),
                 };
                 let dgpa = VirtAddr::new((page % 24) << 12);
-                let f = fast.walk(va, leaf, dgpa, &mut fast_host, &mut scratch).unwrap();
-                let m = reference.walk(va, leaf, dgpa, &mut ref_host).unwrap();
-                prop_assert_eq!(f, m, "divergence at op {}", i);
-                prop_assert!((1..=MAX_NESTED_REFS).contains(&f), "refs {} out of bounds", f);
-                // Occasionally shoot down a region on both models' hosts
-                // is not modelled here: invalidation equivalence is pinned
-                // by the unit tests above.
+                // Mix shootdowns into the stream: guest regions, host
+                // regions holding data pages or guest table pages, and
+                // whole-complex flushes. Both models must drop the same
+                // entries and keep walking in lockstep afterwards.
+                match kind {
+                    0 => {
+                        let region = va.vpn(PageSize::Huge2M);
+                        prop_assert_eq!(
+                            fast.invalidate_guest_region(region),
+                            reference.invalidate_guest_region(region),
+                            "guest invalidation diverged at op {}", i
+                        );
+                    }
+                    1 | 2 => {
+                        let gpa = if kind == 1 { dgpa } else { table_page_gpa(1 + sel % 4, va) };
+                        let region = gpa.vpn(PageSize::Huge2M);
+                        prop_assert_eq!(
+                            fast.invalidate_host_region(region),
+                            reference.invalidate_host_region(region),
+                            "host invalidation diverged at op {}", i
+                        );
+                    }
+                    3 => {
+                        fast.flush();
+                        reference.flush();
+                    }
+                    _ => {
+                        let f = fast.walk(va, leaf, dgpa, &mut fast_host, &mut scratch).unwrap();
+                        let m = reference.walk(va, leaf, dgpa, &mut ref_host).unwrap();
+                        prop_assert_eq!(f, m, "divergence at op {}", i);
+                        prop_assert!((1..=MAX_NESTED_REFS).contains(&f), "refs {} out of bounds", f);
+                    }
+                }
             }
         }
 

@@ -10,9 +10,12 @@
 //! Intel-style split paging-structure caches are modelled: arrays for
 //! PML4E (512 GiB tags), PDPTE (1 GiB tags) and PDE (2 MiB tags) entries.
 //! A hit at a level lets the walk resume below it, down to a single leaf
-//! reference on a PDE hit.
+//! reference on a PDE hit. [`StructureCache`] holds the three arrays of
+//! one translation dimension and the walk rule; [`PageWalkCache`] uses
+//! one for native walks and [`NestedPwc`](crate::NestedPwc) one per
+//! dimension of a 2D walk.
 
-use hpage_types::{PageSize, TlbLevelConfig, VirtAddr, Vpn};
+use hpage_types::{PageSize, PwcConfig, VirtAddr, Vpn};
 
 /// Statistics for one PWC instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,24 +49,138 @@ impl PwcStats {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
-    last_used: u64,
+    stamp: u64,
+}
+
+/// Fully associative LRU array keyed by a region tag. Recency comes
+/// from the owner's stamp counter, bumped on *every* touch, so stamps
+/// are unique and the LRU victim is always unique.
+#[derive(Debug, Clone)]
+pub(crate) struct LruArray {
+    entries: Vec<Entry>,
+    capacity: usize,
+}
+
+impl LruArray {
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub(crate) fn new(capacity: u32) -> Self {
+        assert!(capacity > 0, "PWC arrays need at least one entry");
+        LruArray {
+            entries: Vec::with_capacity(capacity as usize),
+            capacity: capacity as usize,
+        }
+    }
+
+    /// Looks `tag` up, refreshing its recency on a hit.
+    pub(crate) fn probe(&mut self, tag: u64, stamp: &mut u64) -> bool {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
+            *stamp += 1;
+            e.stamp = *stamp;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Inserts `tag` (or refreshes it), evicting the LRU entry when full.
+    pub(crate) fn install(&mut self, tag: u64, stamp: &mut u64) {
+        if self.probe(tag, stamp) {
+            return;
+        }
+        if self.entries.len() == self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(i, _)| i)
+                .expect("capacity > 0");
+            self.entries.swap_remove(lru);
+        }
+        *stamp += 1;
+        self.entries.push(Entry { tag, stamp: *stamp });
+    }
+
+    /// Drops every entry whose tag fails `keep`; returns entries dropped.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| keep(e.tag));
+        before - self.entries.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// The split paging-structure caches of one translation dimension:
+/// `levels[0]` holds PML4Es (tags `addr >> 39`), `levels[1]` PDPTEs
+/// (`addr >> 30`) and `levels[2]` PDEs (`addr >> 21`). The address is a
+/// virtual address natively and in the guest dimension, and a
+/// guest-physical one in the host dimension.
+#[derive(Debug, Clone)]
+pub(crate) struct StructureCache {
+    levels: [LruArray; 3],
+}
+
+impl StructureCache {
+    /// # Panics
+    ///
+    /// Panics if any array in `config` is empty.
+    pub(crate) fn new(config: &PwcConfig) -> Self {
+        StructureCache {
+            levels: [
+                LruArray::new(config.pml4e_entries),
+                LruArray::new(config.pdpte_entries),
+                LruArray::new(config.pde_entries),
+            ],
+        }
+    }
+
+    /// Accounts one walk for `addr` whose leaf sits at `leaf` radix
+    /// levels from the root (2..=4) and returns the deepest level that
+    /// hit (1 = PML4E, 2 = PDPTE, 3 = PDE; 0 on a full miss). The walk
+    /// references `leaf - hit` levels.
+    ///
+    /// Deepest hit wins; arrays above the hit are not referenced, so
+    /// they are left untouched. The walk then installs every non-leaf
+    /// entry it actually traverses: a PDE is only a non-leaf on 4 KiB-
+    /// leaf walks, and a 1 GiB-leaf walk's PDPTE is the translation
+    /// itself — paging-structure caches never hold leaves.
+    pub(crate) fn walk(&mut self, addr: VirtAddr, leaf: u8, stamp: &mut u64) -> u8 {
+        let tag = |level: u8| addr.raw() >> (48 - 9 * u32::from(level));
+        let hit = (1..leaf)
+            .rev()
+            .find(|&level| self.levels[usize::from(level) - 1].probe(tag(level), stamp))
+            .unwrap_or(0);
+        for level in hit + 1..leaf {
+            self.levels[usize::from(level) - 1].install(tag(level), stamp);
+        }
+        hit
+    }
+
+    /// Drops the entries overlapping a 2 MiB region: its PDE and,
+    /// conservatively, the covering PDPTE. Returns entries dropped.
+    pub(crate) fn invalidate_region(&mut self, region: Vpn) -> usize {
+        let g = region.containing(PageSize::Huge1G).index();
+        let m = region.index();
+        self.levels[1].retain(|tag| tag != g) + self.levels[2].retain(|tag| tag != m)
+    }
+
+    /// Empties all three arrays.
+    pub(crate) fn clear(&mut self) {
+        self.levels.iter_mut().for_each(LruArray::clear);
+    }
 }
 
 /// A fully-software model of a split paging-structure cache (Intel
-/// terminology): separate arrays for PML4E, PDPTE, and PDE entries.
+/// terminology) for native walks.
 #[derive(Debug, Clone)]
 pub struct PageWalkCache {
-    /// PML4E cache: tags are 512 GiB-region indices (VA >> 39).
-    pml4e: Vec<Entry>,
-    pml4e_capacity: usize,
-    /// PDPTE cache: tags are 1 GiB-region indices (VA >> 30).
-    pdpte: Vec<Entry>,
-    pdpte_capacity: usize,
-    /// PDE cache: tags are 2 MiB-region indices (VA >> 21). Only
-    /// meaningful for 4 KiB-leaf walks (a 2 MiB leaf *is* the PDE).
-    pde: Vec<Entry>,
-    pde_capacity: usize,
-    clock: u64,
+    cache: StructureCache,
+    stamp: u64,
     stats: PwcStats,
 }
 
@@ -76,18 +193,13 @@ impl PageWalkCache {
     ///
     /// Panics if any capacity is zero.
     pub fn new(pml4e_entries: u32, pdpte_entries: u32, pde_entries: u32) -> Self {
-        assert!(
-            pml4e_entries > 0 && pdpte_entries > 0 && pde_entries > 0,
-            "PWC arrays need at least one entry"
-        );
         PageWalkCache {
-            pml4e: Vec::with_capacity(pml4e_entries as usize),
-            pml4e_capacity: pml4e_entries as usize,
-            pdpte: Vec::with_capacity(pdpte_entries as usize),
-            pdpte_capacity: pdpte_entries as usize,
-            pde: Vec::with_capacity(pde_entries as usize),
-            pde_capacity: pde_entries as usize,
-            clock: 0,
+            cache: StructureCache::new(&PwcConfig {
+                pml4e_entries,
+                pdpte_entries,
+                pde_entries,
+            }),
+            stamp: 0,
             stats: PwcStats::default(),
         }
     }
@@ -97,45 +209,9 @@ impl PageWalkCache {
         PageWalkCache::new(4, 32, 64)
     }
 
-    /// Builds from [`TlbLevelConfig`]-style entries, ignoring
-    /// associativity (PWCs are tiny and modelled fully associative).
-    pub fn from_entries(config: (TlbLevelConfig, TlbLevelConfig, TlbLevelConfig)) -> Self {
-        PageWalkCache::new(config.0.entries, config.1.entries, config.2.entries)
-    }
-
     /// Lifetime statistics.
     pub fn stats(&self) -> &PwcStats {
         &self.stats
-    }
-
-    /// Probes an array, refreshing recency on a hit.
-    fn probe(entries: &mut [Entry], tag: u64, clock: u64) -> bool {
-        if let Some(e) = entries.iter_mut().find(|e| e.tag == tag) {
-            e.last_used = clock;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts a tag, evicting the LRU entry when full.
-    fn install(entries: &mut Vec<Entry>, capacity: usize, tag: u64, clock: u64) {
-        if Self::probe(entries, tag, clock) {
-            return;
-        }
-        if entries.len() == capacity {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            entries.swap_remove(lru);
-        }
-        entries.push(Entry {
-            tag,
-            last_used: clock,
-        });
     }
 
     /// Accounts one hardware walk for `va` whose leaf sits at
@@ -149,49 +225,15 @@ impl PageWalkCache {
     /// Panics if `leaf_levels` is outside `2..=4`.
     pub fn walk(&mut self, va: VirtAddr, leaf_levels: u8) -> u8 {
         assert!((2..=4).contains(&leaf_levels), "leaf level out of range");
-        self.clock += 1;
         self.stats.walks += 1;
-        let tag_512g = va.raw() >> 39;
-        let tag_1g = va.vpn(PageSize::Huge1G).index();
-        let tag_2m = va.vpn(PageSize::Huge2M).index();
-
-        // Deepest hit wins; structure levels above the hit are not
-        // referenced, so their cache arrays are left untouched. The walk
-        // installs every non-leaf entry it actually traverses: a PDE is
-        // only a non-leaf on 4 KiB-leaf walks, and a PDPTE is only a
-        // non-leaf when the leaf sits below it (3+ levels) — a 1 GiB-leaf
-        // walk's PDPTE is the translation itself and paging-structure
-        // caches never hold leaves.
-        let referenced;
-        if leaf_levels == 4 && Self::probe(&mut self.pde, tag_2m, self.clock) {
-            referenced = 1; // just the leaf PTE
-            self.stats.pde_hits += 1;
-        } else if leaf_levels >= 3 && Self::probe(&mut self.pdpte, tag_1g, self.clock) {
-            referenced = leaf_levels - 2;
-            self.stats.pdpte_hits += 1;
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
-        } else if Self::probe(&mut self.pml4e, tag_512g, self.clock) {
-            referenced = leaf_levels - 1;
-            self.stats.pml4e_hits += 1;
-            if leaf_levels >= 3 {
-                Self::install(&mut self.pdpte, self.pdpte_capacity, tag_1g, self.clock);
-            }
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
-        } else {
-            referenced = leaf_levels;
-            self.stats.misses += 1;
-            Self::install(&mut self.pml4e, self.pml4e_capacity, tag_512g, self.clock);
-            if leaf_levels >= 3 {
-                Self::install(&mut self.pdpte, self.pdpte_capacity, tag_1g, self.clock);
-            }
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
-        }
+        let hit = self.cache.walk(va, leaf_levels, &mut self.stamp);
+        *match hit {
+            0 => &mut self.stats.misses,
+            1 => &mut self.stats.pml4e_hits,
+            2 => &mut self.stats.pdpte_hits,
+            _ => &mut self.stats.pde_hits,
+        } += 1;
+        let referenced = leaf_levels - hit;
         self.stats.levels_referenced += u64::from(referenced);
         referenced
     }
@@ -200,19 +242,12 @@ impl PageWalkCache {
     /// promotion/demotion rewrites the region's PDE, so the PDE-cache
     /// copy must go (and, conservatively, the covering PDPTE entry).
     pub fn invalidate_region(&mut self, region: Vpn) -> usize {
-        let g = region.containing(PageSize::Huge1G).index();
-        let m = region.index();
-        let before = self.pdpte.len() + self.pde.len();
-        self.pdpte.retain(|e| e.tag != g);
-        self.pde.retain(|e| e.tag != m);
-        before - self.pdpte.len() - self.pde.len()
+        self.cache.invalidate_region(region)
     }
 
     /// Empties all arrays.
     pub fn flush(&mut self) {
-        self.pml4e.clear();
-        self.pdpte.clear();
-        self.pde.clear();
+        self.cache.clear();
     }
 }
 

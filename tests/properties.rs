@@ -407,10 +407,12 @@ proptest! {
 
     /// The native paging-structure cache is exactly a deepest-hit-wins
     /// walker over three true-LRU arrays: a BTreeMap reference model
-    /// driven by the same per-walk clock predicts every reference count
-    /// under arbitrary interleavings of walks at all three leaf depths,
-    /// region invalidations, and full flushes — the same technique that
-    /// pins the nested (2D) walker in `hpage::tlb::nested`.
+    /// predicts every reference count under arbitrary interleavings of
+    /// walks at all three leaf depths, region invalidations, and full
+    /// flushes — the same technique that pins the nested (2D) walker in
+    /// `hpage::tlb::nested`. The reference ticks one clock per walk and
+    /// the fast path one stamp per array touch; a walk touches each
+    /// array at most once, so both order every array identically.
     #[test]
     fn pwc_matches_reference_lru_model(
         ops in prop::collection::vec((0u64..2048, 0u8..3, 0u8..10), 1..500),
@@ -524,8 +526,9 @@ impl RefLruArray {
 }
 
 /// Reference deepest-hit-wins walk mirroring
-/// [`hpage::tlb::PageWalkCache::walk`]: one clock tick per walk, hit
-/// stops the upward probe, every traversed non-leaf prefix installs
+/// [`hpage::tlb::PageWalkCache::walk`]: one clock tick per walk (the
+/// fast path's per-touch stamps give each array the same LRU order),
+/// hit stops the upward probe, every traversed non-leaf prefix installs
 /// (leaves are never cached).
 fn ref_pwc_walk(arrays: &mut [RefLruArray; 3], clock: &mut u64, va: VirtAddr, leaf: u8) -> u8 {
     *clock += 1;
