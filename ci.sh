@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate — the same four checks the GitHub Actions workflow runs.
-# Everything is offline: dependencies are vendored under vendor/.
+# The CI gate: the GitHub Actions workflow runs this script as its one
+# step. Everything is offline: dependencies are vendored under vendor/.
+# A run modifies no tracked file.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,25 +17,12 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench: builds against these crates, replay matches the engine =="
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== chaos smoke: hpsim --faults examples/chaos.json --audit =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc \
     --faults examples/chaos.json --audit --quiet
-
-echo "== bench smoke: criterion hotpath suite vs committed baseline =="
-# Smoke mode: few samples, minutes -> seconds. Results go to a scratch
-# artifact (never clobber the committed full-mode BENCH_hotpath.json);
-# a >20% bfs18_e2e throughput drop vs the committed baseline prints a
-# non-blocking warning from the bench binary itself.
-# $PWD anchors: cargo runs bench binaries with CWD = the package dir.
-HPAGE_BENCH_SMOKE=1 \
-    HPAGE_BENCH_OUT="$PWD/BENCH_hotpath_smoke.json" \
-    HPAGE_BENCH_BASELINE="$PWD/BENCH_hotpath.json" \
-    cargo bench -q -p hpage-bench --bench hotpath
-test -s BENCH_hotpath_smoke.json
-
-echo "== bench trajectory: append smoke run, re-render EXPERIMENTS.md =="
-cat BENCH_hotpath_smoke.json >> BENCH_history.jsonl
-./target/release/bench_trend --experiments EXPERIMENTS.md
 
 echo "== telemetry smoke: hpsim --ledger --metrics --chrome-trace =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc --ledger \
@@ -52,10 +40,6 @@ HPAGE_PROFILE=test ./target/release/repro --figure 7 --ablation \
     --jobs 1 --bench-out /tmp/BENCH_repro_j1.json --quiet > /tmp/repro_j1.txt
 cmp /tmp/repro_j1.txt /tmp/repro_j2.txt
 test -s BENCH_repro.json
-if ./target/release/repro --figure 7 --jobs 0 --quiet > /dev/null 2>&1; then
-    echo "repro accepted --jobs 0" >&2
-    exit 1
-fi
 
 echo "== shard smoke: --sim-threads 4 report is byte-identical to 1 =="
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
@@ -63,10 +47,6 @@ HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
     --sim-threads 4 --quiet > /tmp/hpsim_st4.txt
 cmp /tmp/hpsim_st1.txt /tmp/hpsim_st4.txt
-if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; then
-    echo "hpsim accepted --sim-threads 0" >&2
-    exit 1
-fi
 
 echo "== trace pipeline smoke: record -> mmap replay byte-identical =="
 # Record an HPT2 trace, then replay it through the zero-copy mmap path
@@ -91,18 +71,6 @@ HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
 HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
     --threads 4 --jobs 1 --quiet > /tmp/ci_mem_j1.txt
 cmp /tmp/ci_mem_j1.txt /tmp/ci_map_j8.txt
-# --trace-info reads the trace through the in-memory entry point.
-./target/release/hpsim --trace-info /tmp/ci_trace.hpt2 > /tmp/ci_trace_info.txt
-grep -q '^records ' /tmp/ci_trace_info.txt
-# A truncated trace must be refused by both entry points.
-head -c 4096 /tmp/ci_trace.hpt2 > /tmp/ci_trace_cut.hpt2
-for mmap in "" --mmap; do
-    if HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace_cut.hpt2 \
-        $mmap --quiet > /dev/null 2>&1; then
-        echo "hpsim replayed a truncated trace ($mmap)" >&2
-        exit 1
-    fi
-done
 
 echo "== consolidation smoke: 32 tenants, fairness + storms in artifact =="
 HPAGE_PROFILE=test ./target/release/repro --consolidation --tenants 32 \
@@ -133,11 +101,6 @@ HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc --nested \
     --sim-threads 4 --quiet > /tmp/hpsim_nested_4.txt
 cmp /tmp/hpsim_nested_1.txt /tmp/hpsim_nested_4.txt
 grep -q 'host promotions' /tmp/hpsim_nested_1.txt
-if ./target/release/hpsim --app bfs --pcc-placement host --quiet \
-    > /dev/null 2>&1; then
-    echo "hpsim accepted --pcc-placement without --nested" >&2
-    exit 1
-fi
 
 echo "== supervisor smoke: injected panic -> partial output, exit 3 =="
 # With no retry budget the injected cell panic must degrade exactly one

@@ -1,36 +1,20 @@
-//! Hot-path baselines: the component costs every simulated access pays
-//! (TLB lookup, page-table walk, PCC update) and end-to-end simulator
-//! throughput on a scale-18 BFS workload.
+//! Hot-path component costs: what every simulated access pays (TLB
+//! lookup, hierarchy probe, page-table walk, PCC update) plus the trace
+//! feed (HPT2 mmap decode) and the huge-page-backed buffer stream.
 //!
-//! Unlike the figure benches, this suite persists its measurements:
-//! results are written to `BENCH_hotpath.json` (override with
-//! `HPAGE_BENCH_OUT`) so the repository accumulates a throughput
-//! trajectory across PRs.
-//!
-//! Environment:
-//! - `HPAGE_BENCH_SMOKE=1` — CI mode: fewer samples, shorter window.
-//! - `HPAGE_BENCH_OUT=<path>` — where to write the JSON artifact.
-//! - `HPAGE_BENCH_BASELINE=<path>` — committed baseline to compare
-//!   against; prints a (non-blocking) warning on a >20% end-to-end
-//!   throughput drop.
+//! End-to-end simulator throughput is not measured here: the repository
+//! benchmark (`BENCHMARK.json`, `perfbench/`) and `hpsim --throughput`
+//! cover it.
 
-use criterion::{Criterion, Throughput};
-use hpage_obs::json::num;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hpage_pcc::Pcc;
-use hpage_sim::{PolicyChoice, ProcessSpec, SimProfile, Simulation};
-use hpage_tlb::{PageTable, SetAssocTlb, Translation};
+use hpage_tlb::{PageTable, SetAssocTlb, TlbHierarchy, Translation};
 use hpage_trace::{instantiate, AppId, Dataset, SynthScale, Workload, WorkloadScale};
-use hpage_types::{PageSize, PccConfig, Pfn, TlbLevelConfig, VirtAddr, Vpn};
+use hpage_types::{PageSize, PccConfig, Pfn, TlbConfig, TlbLevelConfig, VirtAddr, Vpn};
 use std::hint::black_box;
 
-/// End-to-end accesses/sec measured on the seed commit (pre hot-path
-/// pass) on the reference machine, full mode — the denominator of the
-/// `speedup_vs_pre_pr` field. 0.0 means "not yet recorded".
-const PRE_PR_BFS18_ACCESSES_PER_S: f64 = 30_694_337.0;
-
-fn bench(c: &mut Criterion, smoke: bool) {
+fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
-    g.sample_size(if smoke { 3 } else { 10 });
     g.throughput(Throughput::Elements(1));
 
     // Component: single-level TLB lookup, hit path.
@@ -46,6 +30,22 @@ fn bench(c: &mut Criterion, smoke: bool) {
         b.iter(|| {
             i = (i + 1) % 64;
             black_box(tlb.lookup(Vpn::new(i, PageSize::Base4K)))
+        });
+    });
+
+    // Component: L1+L2 TLB hierarchy lookup, L1 hit path.
+    g.bench_function("tlb_hierarchy_hit", |b| {
+        let mut tlb = TlbHierarchy::new(TlbConfig::paper());
+        for i in 0..32u64 {
+            tlb.fill(Translation {
+                vpn: Vpn::new(i, PageSize::Base4K),
+                pfn: Pfn::new(i, PageSize::Base4K),
+            });
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 1) % 32;
+            black_box(tlb.lookup(VirtAddr::new(i << 12)))
         });
     });
 
@@ -76,19 +76,16 @@ fn bench(c: &mut Criterion, smoke: bool) {
         });
     });
 
-    // End to end: the full TLB+PCC+OS pipeline on a scale-18 BFS
-    // workload (the acceptance benchmark for the hot-path pass).
+    // Trace pipeline: HPT2 decode throughput through the mmap-backed
+    // zero-copy window path — the rate a recorded trace feeds the
+    // simulator, excluding simulation itself. The records are a
+    // scale-18 BFS stream.
     let scale = WorkloadScale {
         graph_scale: 18,
         synth: SynthScale::BENCH,
         dbg_sorted: false,
     };
     let w = instantiate(AppId::Bfs, Dataset::Kronecker, scale, 0xC0FFEE);
-    let profile = SimProfile::scaled().sized_for(w.footprint_bytes());
-
-    // Trace pipeline: HPT2 decode throughput through the mmap-backed
-    // zero-copy window path — the rate a recorded trace feeds the
-    // simulator, excluding simulation itself.
     let trace_records: u64 = 2_000_000;
     let trace_path = {
         let mut p = std::env::temp_dir();
@@ -131,7 +128,7 @@ fn bench(c: &mut Criterion, smoke: bool) {
     // working buffers (`HugeVec`, 2 MiB-aligned + MADV_HUGEPAGE) vs the
     // same traversal over a plain `Vec` — the dTLB-relief the tracing
     // buffers themselves get from THP.
-    let words: usize = if smoke { 1 << 21 } else { 1 << 23 };
+    let words: usize = 1 << 23;
     let mut huge: hpage_trace::HugeVec<u64> = hpage_trace::HugeVec::with_capacity(words);
     let mut plain: Vec<u64> = Vec::with_capacity(words);
     for i in 0..words as u64 {
@@ -165,112 +162,10 @@ fn bench(c: &mut Criterion, smoke: bool) {
             black_box(acc)
         })
     });
-    // Same access cap in both modes: elems/s must be comparable against
-    // the committed full-mode baseline (a shorter window over-weights
-    // the cold pre-promotion phase and reads ~40% slow), so smoke mode
-    // only trims the sample count. The cap is a fraction of the cost of
-    // instantiating the scale-18 graph, which both modes pay anyway.
-    let cap: u64 = 2_000_000;
-    g.throughput(Throughput::Elements(cap));
-    g.sample_size(if smoke { 2 } else { 5 });
-    g.bench_function("bfs18_e2e", |b| {
-        b.iter(|| {
-            black_box(
-                Simulation::new(profile.system.clone(), PolicyChoice::pcc_default())
-                    .with_max_accesses_per_core(cap)
-                    .run(&[ProcessSpec::new(&w)]),
-            )
-        })
-    });
     g.finish();
     drop(mapped);
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// Serializes the captured results plus the pre-PR reference point.
-fn artifact_json(c: &Criterion, mode: &str) -> String {
-    let results: Vec<String> = c
-        .results()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":\"{}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\"elems_per_s\":{}}}",
-                r.id,
-                num(r.min_ns),
-                num(r.median_ns),
-                num(r.mean_ns),
-                r.elems_per_sec.map_or("null".into(), num),
-            )
-        })
-        .collect();
-    let bfs = bfs_eps(c);
-    let speedup = match bfs {
-        Some(eps) if PRE_PR_BFS18_ACCESSES_PER_S > 0.0 => num(eps / PRE_PR_BFS18_ACCESSES_PER_S),
-        _ => "null".into(),
-    };
-    format!(
-        "{{\"artifact\":\"hotpath-bench\",\"mode\":\"{mode}\",\"results\":[{}],\
-         \"reference\":{{\"pre_pr_bfs18_accesses_per_s\":{},\"speedup_vs_pre_pr\":{}}}}}",
-        results.join(","),
-        num(PRE_PR_BFS18_ACCESSES_PER_S),
-        speedup,
-    )
-}
-
-fn bfs_eps(c: &Criterion) -> Option<f64> {
-    c.results()
-        .iter()
-        .find(|r| r.id == "bfs18_e2e")
-        .and_then(|r| r.elems_per_sec)
-}
-
-/// Extracts `bfs18_e2e`'s `elems_per_s` from a committed artifact
-/// without a JSON parser: finds the id, then the next numeric field.
-fn baseline_bfs_eps(text: &str) -> Option<f64> {
-    let at = text.find("\"id\":\"bfs18_e2e\"")?;
-    let rest = &text[at..];
-    let key = "\"elems_per_s\":";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
-}
-
-fn main() {
-    let smoke = std::env::var("HPAGE_BENCH_SMOKE").is_ok_and(|v| v != "0");
-    let mode = if smoke { "smoke" } else { "full" };
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c, smoke);
-
-    let out = std::env::var("HPAGE_BENCH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".into());
-    let json = artifact_json(&c, mode);
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("hotpath: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("hotpath: results written to {out} ({mode} mode)");
-
-    // Non-blocking regression check against a committed baseline.
-    if let Ok(path) = std::env::var("HPAGE_BENCH_BASELINE") {
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match (bfs_eps(&c), baseline_bfs_eps(&text)) {
-                (Some(now), Some(then)) if now < 0.8 * then => eprintln!(
-                    "hotpath: warning: bfs18_e2e throughput {now:.0} elem/s is >20% below \
-                     the committed baseline {then:.0} elem/s ({path})"
-                ),
-                (Some(_), Some(_)) => {}
-                _ => eprintln!("hotpath: warning: no bfs18_e2e datum to compare in {path}"),
-            },
-            Err(e) => eprintln!("hotpath: warning: cannot read baseline {path}: {e}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn baseline_parse() {
-        let t = r#"{"results":[{"id":"x","elems_per_s":1.0},{"id":"bfs18_e2e","min_ns":3.0,"elems_per_s":2500000.5}]}"#;
-        assert_eq!(super::baseline_bfs_eps(t), Some(2_500_000.5));
-        assert_eq!(super::baseline_bfs_eps("{}"), None);
-    }
-}
+criterion_group!(benches, bench);
+criterion_main!(benches);

@@ -71,7 +71,7 @@ robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation
              A/B runs); --audit cross-checks OS/TLB/PCC invariants every
              interval and exits 1 on any violation
 throughput:  --throughput times the instrumented run and appends a
-             simulator accesses/sec line (compare against BENCH_hotpath.json)
+             simulator accesses/sec line (ad hoc; BENCHMARK.json is the record)
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices>";
 
@@ -636,8 +636,9 @@ fn main() {
     println!("{t}");
 
     if opts.throughput {
-        // Simulator (host) throughput of the instrumented run, for
-        // comparison against the BENCH_hotpath.json trajectory. With
+        // Simulator (host) throughput of the instrumented run, an ad
+        // hoc figure; the repository benchmark (BENCHMARK.json) is the
+        // end-to-end record, with the rev and host of each run. With
         // --jobs 2+ the 4KB baseline runs concurrently and contends for
         // the machine; use --jobs 1 for an uncontended measurement.
         let secs = policy_wall.as_secs_f64().max(1e-9);

@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod trend;
 
 use hpage_perf::{ascii_plot, fmt_pct, fmt_speedup, geomean_positive, TextTable};
 use hpage_sim::{

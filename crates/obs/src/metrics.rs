@@ -1,5 +1,5 @@
-//! Per-interval metric series — the structured generalization of the
-//! simulator's old `interval_walk_rates` vector.
+//! Per-interval metric series: one row of rates and counters per
+//! promotion interval of a simulation.
 
 use crate::json::num;
 
@@ -76,7 +76,8 @@ impl IntervalSeries {
         self.rows.is_empty()
     }
 
-    /// Just the walk rates (the legacy `interval_walk_rates` view).
+    /// Just the walk rates, in interval order: the time-to-benefit
+    /// curve.
     pub fn walk_rates(&self) -> Vec<f64> {
         self.rows.iter().map(|r| r.walk_rate).collect()
     }

@@ -994,7 +994,6 @@ struct Coordinator<'a, 'w, R: Recorder> {
     next_interval: u64,
     promotion_failures: u64,
     schedule: PromotionSchedule,
-    interval_walk_rates: Vec<f64>,
     interval_series: IntervalSeries,
     /// (accesses, walks, l1, l2) at the last barrier.
     marks: (u64, u64, u64, u64),
@@ -1528,7 +1527,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             huge_pages_resident: self.os.phys.huge_blocks_in_use(),
             bloat_bytes: self.os.spaces.iter().map(|s| s.bloat_bytes()).sum(),
         };
-        self.interval_walk_rates.push(row.walk_rate);
         if self.recorder.enabled() {
             self.recorder.record(
                 total_accesses,
@@ -1695,7 +1693,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 })
                 .unwrap_or_default(),
             schedule: self.schedule,
-            interval_walk_rates: self.interval_walk_rates,
             interval_series: self.interval_series,
             bloat_bytes,
             fault_stats: self.injector.map(|i| *i.stats()),
@@ -1887,7 +1884,6 @@ pub(crate) fn run<R: Recorder>(
         next_interval: sim.config.promotion_interval_accesses,
         promotion_failures: 0,
         schedule: PromotionSchedule::default(),
-        interval_walk_rates: Vec::new(),
         interval_series: IntervalSeries::new(),
         marks: (0, 0, 0, 0),
         interval_index: 0,

@@ -175,15 +175,11 @@ pub struct SimReport {
     /// timestamp) — feed it to [`PolicyChoice::Replay`] to reproduce the
     /// paper's offline-simulate-then-replay methodology.
     pub schedule: PromotionSchedule,
-    /// Page-table-walk rate per promotion interval, in interval order —
-    /// the time-to-benefit curve (§5.4.2: "the PCC can identify HUBs
-    /// within a few seconds"). Entry `i` covers the i-th interval of
-    /// accesses.
-    pub interval_walk_rates: Vec<f64>,
-    /// Full per-interval time series (walk/L1/L2 rates, promotions,
-    /// demotions, PCC occupancy, huge-page residency, bloat) — the
-    /// structured generalization of `interval_walk_rates`; the two are
-    /// index-aligned.
+    /// Per-interval time series (walk/L1/L2 rates, promotions,
+    /// demotions, PCC occupancy, huge-page residency, bloat), in
+    /// interval order: row `i` covers the i-th interval of accesses.
+    /// Its walk rates are the time-to-benefit curve (§5.4.2: "the PCC
+    /// can identify HUBs within a few seconds").
     pub interval_series: IntervalSeries,
     /// Memory bloat at run end, per process: resident bytes beyond what
     /// faults touched (the §1 THP-bloat problem; greedy fault-time huge
@@ -745,14 +741,10 @@ mod tests {
     }
 
     #[test]
-    fn interval_series_aligns_with_walk_rates() {
+    fn interval_series_sums_promotions_and_bounds_rates() {
         let w = random_workload(8, 400_000, 1);
         let report = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
         assert!(!report.interval_series.is_empty());
-        assert_eq!(
-            report.interval_series.walk_rates(),
-            report.interval_walk_rates
-        );
         let total_promos: u64 = report
             .interval_series
             .rows()
@@ -924,7 +916,7 @@ mod tests {
         // seconds" claim in timeline form.
         let w = random_workload(8, 400_000, 1);
         let report = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
-        let rates = &report.interval_walk_rates;
+        let rates = report.interval_series.walk_rates();
         assert!(
             rates.len() >= 4,
             "expected several intervals, got {}",
@@ -938,7 +930,7 @@ mod tests {
         );
         // The baseline's rate stays flat.
         let base = tiny_sim(PolicyChoice::BasePages).run(&[ProcessSpec::new(&w)]);
-        let b = &base.interval_walk_rates;
+        let b = base.interval_series.walk_rates();
         assert!(b[b.len() - 1] > b[0] * 0.5);
     }
 

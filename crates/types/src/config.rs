@@ -394,16 +394,6 @@ impl Default for NestedConfig {
     }
 }
 
-/// Address-translation mode of the simulated machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TranslationMode {
-    /// Native one-dimensional translation (the paper's evaluation).
-    #[default]
-    Native,
-    /// Nested two-dimensional guest/host translation (virtualized).
-    Nested(NestedConfig),
-}
-
 /// How the OS selects promotion candidates across multiple per-core PCCs
 /// (§3.3.2, evaluated in Figs. 8–9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -513,8 +503,6 @@ impl Default for TimingConfig {
 /// Full evaluation-system configuration (Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
-    /// Number of cores (each with its own TLB hierarchy and PCC).
-    pub cores: u32,
     /// Per-core TLB hierarchy.
     pub tlb: TlbConfig,
     /// Per-core 2 MiB PCC.
@@ -538,8 +526,6 @@ pub struct SystemConfig {
     /// of the hardware so scan-rate starvation matches the paper's
     /// footprint-to-scan-budget ratio.
     pub scanner_pages_per_interval: u64,
-    /// OS candidate-selection policy across PCCs.
-    pub promotion_policy: PromotionPolicyKind,
     /// Timing-model constants.
     pub timing: TimingConfig,
 }
@@ -549,7 +535,6 @@ impl SystemConfig {
     /// promotions per interval, Haswell TLB hierarchy.
     pub fn paper_system() -> Self {
         SystemConfig {
-            cores: 1,
             tlb: TlbConfig::paper(),
             pcc_2m: PccConfig::paper_2m(),
             pcc_1g: None,
@@ -558,7 +543,6 @@ impl SystemConfig {
             promotion_interval_accesses: 20_000_000,
             regions_to_promote: 128,
             scanner_pages_per_interval: 4096,
-            promotion_policy: PromotionPolicyKind::HighestFrequency,
             timing: TimingConfig::paper(),
         }
     }
@@ -568,7 +552,6 @@ impl SystemConfig {
     /// the paper's ~10^11).
     pub fn tiny() -> Self {
         SystemConfig {
-            cores: 1,
             tlb: TlbConfig::tiny(),
             pcc_2m: PccConfig::paper_2m().with_entries(16),
             pcc_1g: None,
@@ -577,7 +560,6 @@ impl SystemConfig {
             promotion_interval_accesses: 50_000,
             regions_to_promote: 16,
             scanner_pages_per_interval: 512,
-            promotion_policy: PromotionPolicyKind::HighestFrequency,
             timing: TimingConfig::paper().with_window_scale(40),
         }
     }
@@ -586,13 +568,9 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when any sub-config is invalid, there are no
-    /// cores, physical memory is not 2 MiB-aligned, or the promotion
-    /// interval is zero.
+    /// Returns [`ConfigError`] when any sub-config is invalid, physical
+    /// memory is not 2 MiB-aligned, or the promotion interval is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 {
-            return Err(ConfigError::new("system must have at least one core"));
-        }
         self.tlb.validate()?;
         self.pcc_2m.validate()?;
         if let Some(p) = &self.pcc_1g {
@@ -680,9 +658,6 @@ mod tests {
         assert!(TlbLevelConfig::new(8, 3).validate().is_err());
         assert!(TlbLevelConfig::new(8, 0).validate().is_err());
         assert!(PccConfig::paper_2m().with_entries(0).validate().is_err());
-        let mut sys = SystemConfig::paper_system();
-        sys.cores = 0;
-        assert!(sys.validate().is_err());
         let mut sys = SystemConfig::paper_system();
         sys.phys_mem_bytes = 4096;
         assert!(sys.validate().is_err());

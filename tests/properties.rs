@@ -450,6 +450,62 @@ proptest! {
         }
     }
 
+    /// The PCC is exactly the structure §3.2.1 describes: a naive `Vec`
+    /// reference model (cold-miss filter, LFU with LRU tie-break or pure
+    /// LRU, saturate-and-halve decay, shootdown invalidation, clear)
+    /// returns the same event for every op and ends with the same
+    /// ranked dump, for every replacement policy, with the filter and
+    /// the decay each on and off, and counters narrow enough to
+    /// saturate within a case.
+    #[test]
+    fn pcc_matches_reference_model(
+        ops in prop::collection::vec((0u8..16, 0u64..24, any::<bool>()), 1..400),
+        entries in 1u32..9,
+        counter_bits in 1u32..4,
+    ) {
+        for policy in [ReplacementPolicy::LfuWithLruTiebreak, ReplacementPolicy::Lru] {
+            for (filter, decay) in [(false, false), (false, true), (true, false), (true, true)] {
+                let cfg = PccConfig {
+                    entries,
+                    counter_bits,
+                    access_bit_filter: filter,
+                    decay_on_saturation: decay,
+                    ..PccConfig::paper_2m()
+                };
+                let mut pcc = Pcc::with_replacement(cfg, PageSize::Huge2M, policy);
+                let mut model = RefPcc::new(entries as usize, counter_bits, filter, decay, policy);
+                for (i, &(op, r, warm)) in ops.iter().enumerate() {
+                    let ctx = (policy, filter, decay, i);
+                    match op {
+                        0..=11 => prop_assert_eq!(
+                            pcc.record_walk(region(r), warm),
+                            model.record_walk(region(r), warm),
+                            "record_walk diverged: {:?}", ctx
+                        ),
+                        12 | 13 => prop_assert_eq!(
+                            pcc.invalidate(region(r)),
+                            model.invalidate(region(r)),
+                            "invalidate diverged: {:?}", ctx
+                        ),
+                        // A tag of another granularity never matches.
+                        14 => prop_assert_eq!(
+                            pcc.invalidate(Vpn::new(r, PageSize::Huge1G)),
+                            model.invalidate(Vpn::new(r, PageSize::Huge1G)),
+                            "invalidate diverged: {:?}", ctx
+                        ),
+                        _ => {
+                            pcc.clear();
+                            model.clear();
+                        }
+                    }
+                }
+                let dump: Vec<(Vpn, u64)> =
+                    pcc.dump().iter().map(|c| (c.region, c.frequency)).collect();
+                prop_assert_eq!(dump, model.dump(), "final dump diverged: {:?}", (policy, filter, decay));
+            }
+        }
+    }
+
     /// `derive_seed` keeps every purpose stream independent: the seeds
     /// the simulator derives for fragmentation, per-VM host layouts
     /// (`host-frag-<pid>`), virtualization workloads (`virt/<i>`), and
@@ -561,4 +617,95 @@ fn ref_pwc_walk(arrays: &mut [RefLruArray; 3], clock: &mut u64, va: VirtAddr, le
         arrays[2].insert(t2m, *clock);
     }
     leaf
+}
+
+/// Naive PCC reference model, written from the paper's description
+/// rather than from `hpage::pcc`: a `Vec` of `(tag, frequency,
+/// last_use)` slots and one clock that ticks per reported walk.
+struct RefPcc {
+    capacity: usize,
+    counter_max: u64,
+    filter: bool,
+    decay: bool,
+    lru: bool,
+    slots: Vec<(Vpn, u64, u64)>,
+    clock: u64,
+}
+
+impl RefPcc {
+    fn new(
+        capacity: usize,
+        counter_bits: u32,
+        filter: bool,
+        decay: bool,
+        policy: ReplacementPolicy,
+    ) -> Self {
+        RefPcc {
+            capacity,
+            counter_max: (1 << counter_bits) - 1,
+            filter,
+            decay,
+            lru: policy == ReplacementPolicy::Lru,
+            slots: Vec::new(),
+            clock: 0,
+        }
+    }
+
+    fn record_walk(&mut self, tag: Vpn, access_bit_was_set: bool) -> PccEvent {
+        self.clock += 1;
+        if self.filter && !access_bit_was_set {
+            return PccEvent::FilteredColdMiss;
+        }
+        if let Some(i) = self.slots.iter().position(|s| s.0 == tag) {
+            if self.slots[i].1 == self.counter_max {
+                if !self.decay {
+                    // Saturated: the counter stays, recency refreshes.
+                    self.slots[i].2 = self.clock;
+                    return PccEvent::Hit(self.counter_max);
+                }
+                for s in &mut self.slots {
+                    s.1 /= 2;
+                }
+            }
+            self.slots[i].1 += 1;
+            self.slots[i].2 = self.clock;
+            return PccEvent::Hit(self.slots[i].1);
+        }
+        let mut evicted = None;
+        if self.slots.len() == self.capacity {
+            let lru = self.lru;
+            let victim = (0..self.slots.len())
+                .min_by_key(|&i| {
+                    let (_, frequency, last_use) = self.slots[i];
+                    (if lru { 0 } else { frequency }, last_use)
+                })
+                .expect("a full PCC has a slot");
+            evicted = Some(self.slots.remove(victim).0);
+        }
+        self.slots.push((tag, 0, self.clock));
+        match evicted {
+            Some(v) => PccEvent::InsertedWithEviction(v),
+            None => PccEvent::Inserted,
+        }
+    }
+
+    fn invalidate(&mut self, tag: Vpn) -> bool {
+        let before = self.slots.len();
+        self.slots.retain(|s| s.0 != tag);
+        self.slots.len() != before
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Highest frequency first, most recently used first among equals.
+    fn dump(&self) -> Vec<(Vpn, u64)> {
+        let mut slots = self.slots.clone();
+        slots.sort_by_key(|&(_, frequency, last_use)| std::cmp::Reverse((frequency, last_use)));
+        slots
+            .iter()
+            .map(|&(tag, frequency, _)| (tag, frequency))
+            .collect()
+    }
 }
