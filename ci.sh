@@ -41,6 +41,16 @@ HPAGE_PROFILE=test ./target/release/repro --figure 7 --ablation \
 cmp /tmp/repro_j1.txt /tmp/repro_j2.txt
 test -s BENCH_repro.json
 
+echo "== datasets smoke: DBG-sorted sweep byte-identical at -j 2 and -j 1 =="
+# The only leg that runs degree_based_grouping (CsrGraph::relabel) end
+# to end: every graph app on every Table 1 network, unsorted and DBG.
+HPAGE_PROFILE=test ./target/release/repro --datasets --jobs 1 \
+    --bench-out /tmp/BENCH_datasets_j1.json --quiet > /tmp/repro_datasets_j1.txt
+HPAGE_PROFILE=test ./target/release/repro --datasets --jobs 2 \
+    --bench-out /tmp/BENCH_datasets_j2.json --quiet > /tmp/repro_datasets_j2.txt
+cmp /tmp/repro_datasets_j1.txt /tmp/repro_datasets_j2.txt
+grep -q 'dbg-sorted' /tmp/repro_datasets_j1.txt
+
 echo "== shard smoke: --sim-threads 4 report is byte-identical to 1 =="
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
     --sim-threads 1 --quiet > /tmp/hpsim_st1.txt

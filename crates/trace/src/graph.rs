@@ -8,7 +8,7 @@
 //! (see DESIGN.md), at configurable scale.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// A directed graph in Compressed Sparse Row form.
 ///
@@ -34,14 +34,18 @@ impl CsrGraph {
             assert!(u < n && v < n, "edge endpoint out of range");
             degree[u as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
+        Self::from_counted_edges(degree, edges)
+    }
+
+    /// Builds the CSR from edges whose endpoints are known to be in
+    /// range and whose out-degrees are already counted in `degree`
+    /// (one entry per vertex). A stable counting sort: each vertex's
+    /// neighbours keep their order in `edges`.
+    fn from_counted_edges(degree: Vec<u64>, edges: &[(u32, u32)]) -> Self {
+        let offsets = prefix_offsets(degree.iter().copied());
+        // Reuse the degree buffer as the per-vertex write cursor.
+        let mut cursor = degree;
+        cursor.copy_from_slice(&offsets[..offsets.len() - 1]);
         let mut neighbors = vec![0u32; edges.len()];
         for &(u, v) in edges {
             let c = &mut cursor[u as usize];
@@ -100,19 +104,41 @@ impl CsrGraph {
     pub fn relabel(&self, perm: &[u32]) -> CsrGraph {
         let n = self.vertex_count();
         assert_eq!(perm.len(), n as usize, "perm length must equal n");
-        let mut seen = vec![false; n as usize];
-        for &p in perm {
-            assert!(p < n && !seen[p as usize], "perm must be a permutation");
-            seen[p as usize] = true;
+        // inverse[new id] = old id; u32::MAX (never a vertex id, as
+        // n <= u32::MAX) marks a new id not yet claimed.
+        let mut inverse = vec![u32::MAX; n as usize];
+        for (old, &p) in perm.iter().enumerate() {
+            assert!(
+                p < n && inverse[p as usize] == u32::MAX,
+                "perm must be a permutation"
+            );
+            inverse[p as usize] = old as u32;
         }
-        let mut edges = Vec::with_capacity(self.edge_count() as usize);
-        for u in 0..n {
-            for &v in self.neighbors_of(u) {
-                edges.push((perm[u as usize], perm[v as usize]));
+        let offsets = prefix_offsets(inverse.iter().map(|&old| self.degree(old)));
+        // Vertex `new` takes `inverse[new]`'s neighbours, renamed, in
+        // their original order: the graph `from_edges` would build from
+        // the renamed edge list, without materialising that list.
+        let mut neighbors = vec![0u32; self.neighbors.len()];
+        for (new, &old) in inverse.iter().enumerate() {
+            let out = &mut neighbors[offsets[new] as usize..offsets[new + 1] as usize];
+            for (slot, &v) in out.iter_mut().zip(self.neighbors_of(old)) {
+                *slot = perm[v as usize];
             }
         }
-        CsrGraph::from_edges(n, &edges)
+        CsrGraph { offsets, neighbors }
     }
+}
+
+/// CSR offsets (`n + 1` entries, starting at 0) from per-vertex degrees.
+fn prefix_offsets(degrees: impl ExactSizeIterator<Item = u64>) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(degrees.len() + 1);
+    let mut acc = 0u64;
+    offsets.push(0);
+    for d in degrees {
+        acc += d;
+        offsets.push(acc);
+    }
+    offsets
 }
 
 /// Parameters of the R-MAT (recursive matrix) generator, the standard
@@ -193,6 +219,16 @@ impl RmatParams {
 
 /// Generates an R-MAT graph deterministically from `seed`.
 ///
+/// Each edge descends `scale` levels of the adjacency matrix; at every
+/// level one uniform draw `r` picks a quadrant by the cascade
+/// `r < a`, `r < a+b`, `r < a+b+c`. The draw is `rng.random::<f64>()`,
+/// which is exactly `k · 2⁻⁵³` with `k = next_u64() >> 11`, so `r < p`
+/// holds exactly when `k < ceil(p · 2⁵³)` (see `draw_threshold`). The
+/// cascade is therefore evaluated on integers, without a data-dependent
+/// branch, and yields the same graph as the `f64` cascade for every
+/// seed and parameter set (the reference-model tests in
+/// `tests/trace_properties.rs`).
+///
 /// # Panics
 ///
 /// Panics if `scale` is 0 or ≥ 31, or the quadrant probabilities exceed 1.
@@ -204,28 +240,43 @@ pub fn generate_rmat(params: &RmatParams, seed: u64) -> CsrGraph {
     let d = 1.0 - params.a - params.b - params.c;
     assert!(d >= -1e-9, "quadrant probabilities must sum to <= 1");
     let n = params.vertex_count();
+    // Thresholds of the same f64 sums the cascade compares against,
+    // made non-decreasing: that keeps the cascade's first match, and
+    // with ordered thresholds the quadrant takes no branch.
+    let t_a = draw_threshold(params.a);
+    let t_ab = draw_threshold(params.a + params.b).max(t_a);
+    let t_abc = draw_threshold(params.a + params.b + params.c).max(t_ab);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(params.edge_count() as usize);
+    // Out-degrees are counted as edges are drawn, so the CSR build
+    // needs no counting pass over the edge list. Every endpoint has
+    // `scale` bits, hence is below `n`.
+    let mut degree = vec![0u64; n as usize];
     for _ in 0..params.edge_count() {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..params.scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.random();
-            if r < params.a {
-                // top-left: neither bit set
-            } else if r < params.a + params.b {
-                v |= 1;
-            } else if r < params.a + params.b + params.c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let k = rng.next_u64() >> 11;
+            let ge_a = u32::from(k >= t_a);
+            let ge_ab = u32::from(k >= t_ab);
+            let ge_abc = u32::from(k >= t_abc);
+            // (u, v) bits: (0,0) below t_a, (0,1) below t_ab, (1,0)
+            // below t_abc, (1,1) from there on.
+            u = (u << 1) | ge_ab;
+            v = (v << 1) | (ge_a ^ ge_ab ^ ge_abc);
         }
-        edges.push((u % n, v % n));
+        degree[u as usize] += 1;
+        edges.push((u, v));
     }
-    CsrGraph::from_edges(n, &edges)
+    CsrGraph::from_counted_edges(degree, &edges)
+}
+
+/// The least 53-bit draw `k` for which `k · 2⁻⁵³ < p` fails:
+/// `ceil(p · 2⁵³)`. Scaling by a power of two is exact, and the cast
+/// saturates (negative or NaN `p` → 0, so no draw is below it; `p`
+/// above 1 → beyond every draw), which is what the `f64` comparison
+/// does at those extremes.
+fn draw_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Degree-Based Grouping (Faldu et al., IISWC'19): coarsely reorders
@@ -302,6 +353,44 @@ mod tests {
         // uniform: it stays near the mean.
         assert!(max_deg(&gk) > 10 * 16, "kronecker max degree too low");
         assert!(max_deg(&gu) < 5 * 16, "uniform max degree too high");
+    }
+
+    #[test]
+    fn draw_threshold_splits_the_f64_draw_exactly() {
+        // `random::<f64>()` as the vendored generator computes it.
+        let draw = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        let top = 1u64 << 53; // one past the largest draw
+        let ps = [
+            0.0,
+            1e-300,
+            0.1,
+            0.19,
+            0.23,
+            0.25,
+            1.0 / 3.0,
+            0.57,
+            0.76,
+            0.95,
+            0.96,
+            1.0,
+            1.0 + 1e-9,
+            -0.1,
+            f64::NAN,
+            1e300,
+        ];
+        for p in ps {
+            let t = draw_threshold(p);
+            let below = |k: u64| draw(k) < p;
+            // Every draw under the threshold is below p (the largest
+            // such draw suffices), and the threshold draw itself is not.
+            if t > 0 {
+                let k = t.min(top) - 1;
+                assert!(below(k), "draw {k} must be below {p}");
+            }
+            if t < top {
+                assert!(!below(t), "draw {t} must not be below {p}");
+            }
+        }
     }
 
     #[test]

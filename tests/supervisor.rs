@@ -19,7 +19,27 @@ fn workload(seed: u64) -> SharedWorkload {
     Arc::new(b.build())
 }
 
+/// A workload with almost no simulated work, so a cell running it stays
+/// far inside the deadlines these tests set even on a loaded host.
+fn idle_workload(seed: u64) -> SharedWorkload {
+    let mut b = SyntheticBuilder::new("idle", seed);
+    let a = b.array(8, 512);
+    b.phase(
+        a,
+        Pattern::Sequential {
+            stride: 1,
+            count: 16,
+        },
+        0,
+    );
+    Arc::new(b.build())
+}
+
 fn cells(n: u64) -> Vec<Cell> {
+    cells_of(n, workload)
+}
+
+fn cells_of(n: u64, workload: fn(u64) -> SharedWorkload) -> Vec<Cell> {
     (0..n)
         .map(|i| {
             Cell::new(
@@ -158,7 +178,9 @@ fn hard_deadline_abandons_the_stalled_cell() {
             .with_hard_deadline_ms(40)
             .with_faults(stall_plan(0, 1, 400)),
     );
-    let results = h.run_supervised(cells(2));
+    // The healthy cell runs under the same 40 ms deadline, so it gets
+    // next to no work: its outcome must not hinge on host load.
+    let results = h.run_supervised(cells_of(2, idle_workload));
     match &results[0] {
         Err(CellFailure::HardDeadline { limit_ms, attempts }) => {
             assert_eq!(*limit_ms, 40);

@@ -8,9 +8,187 @@ use hpage::trace::{
 };
 use hpage::types::VirtAddr;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// The R-MAT generator as first written: one `f64` draw per level and a
+/// three-way branch cascade on it. [`generate_rmat`] evaluates the same
+/// cascade on integer thresholds; this is the model it must reproduce
+/// edge for edge.
+fn reference_rmat(params: &RmatParams, seed: u64) -> CsrGraph {
+    let n = params.vertex_count();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity(params.edge_count() as usize);
+    for _ in 0..params.edge_count() {
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..params.scale {
+            u <<= 1;
+            v <<= 1;
+            let r: f64 = rng.random();
+            if r < params.a {
+                // top-left: neither bit set
+            } else if r < params.a + params.b {
+                v |= 1;
+            } else if r < params.a + params.b + params.c {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+        }
+        edges.push((u % n, v % n));
+    }
+    CsrGraph::from_edges(n, &edges)
+}
+
+/// The relabel model: rename every edge, then rebuild the CSR from the
+/// renamed edge list.
+fn reference_relabel(g: &CsrGraph, perm: &[u32]) -> CsrGraph {
+    let mut edges = Vec::new();
+    for u in 0..g.vertex_count() {
+        for &v in g.neighbors_of(u) {
+            edges.push((perm[u as usize], perm[v as usize]));
+        }
+    }
+    CsrGraph::from_edges(g.vertex_count(), &edges)
+}
+
+const PRESETS: [fn(u32) -> RmatParams; 4] = [
+    RmatParams::kronecker,
+    RmatParams::social,
+    RmatParams::web,
+    RmatParams::uniform,
+];
+
+/// Asserts the generator and the reference agree on `params` and `seed`
+/// (comparing without `assert_eq!`, whose failure would print both
+/// graphs in full).
+fn assert_matches_reference(params: &RmatParams, seed: u64) {
+    let fast = generate_rmat(params, seed);
+    assert!(
+        fast == reference_rmat(params, seed),
+        "generate_rmat diverged from the f64 cascade: {params:?}, seed {seed}"
+    );
+}
+
+/// FNV-1a over the CSR arrays (offsets as little-endian `u64`, then
+/// neighbours as little-endian `u32`).
+fn csr_digest(g: &CsrGraph) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let offsets = g.offsets().iter().flat_map(|o| o.to_le_bytes());
+    let neighbors = g.neighbors().iter().flat_map(|v| v.to_le_bytes());
+    for b in offsets.chain(neighbors) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+#[test]
+fn rmat_matches_reference_when_probabilities_sum_to_exactly_one() {
+    for (a, b, c) in [(0.57, 0.19, 0.24), (0.5, 0.25, 0.25)] {
+        assert_eq!(a + b + c, 1.0, "the case must hit the boundary exactly");
+        let params = RmatParams {
+            scale: 10,
+            edge_factor: 16,
+            a,
+            b,
+            c,
+        };
+        for seed in [0, 7, u64::MAX] {
+            assert_matches_reference(&params, seed);
+        }
+    }
+}
+
+#[test]
+fn rmat_matches_reference_at_the_allowed_overshoot() {
+    // The generator accepts a+b+c up to 1 + 1e-9, which puts the
+    // bottom-right threshold above 2^53, beyond every 53-bit draw.
+    let params = RmatParams {
+        scale: 10,
+        edge_factor: 16,
+        a: 0.57,
+        b: 0.19,
+        c: 0.24 + 1e-9,
+    };
+    assert!(params.a + params.b + params.c > 1.0);
+    for seed in [0, 7, u64::MAX] {
+        assert_matches_reference(&params, seed);
+    }
+}
+
+#[test]
+fn rmat_matches_reference_on_degenerate_quadrants() {
+    // Empty quadrants, a certain quadrant, and an out-of-order set (a
+    // negative b) whose cascade skips a branch: first match still wins.
+    let cases = [
+        (0.0, 0.0, 0.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0),
+        (0.0, 0.5, 0.5),
+        (0.5, -0.2, 0.5),
+    ];
+    for (a, b, c) in cases {
+        let params = RmatParams {
+            scale: 8,
+            edge_factor: 8,
+            a,
+            b,
+            c,
+        };
+        for seed in [1, 99] {
+            assert_matches_reference(&params, seed);
+        }
+    }
+}
+
+#[test]
+fn rmat_kronecker_16_digest_is_pinned() {
+    // Captured from the f64-cascade generator before the integer
+    // rewrite; any change to the edge stream or CSR layout moves it.
+    let g = generate_rmat(&RmatParams::kronecker(16), 7);
+    assert_eq!(csr_digest(&g), 0x2a6e_9557_002e_82a9);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The integer-threshold generator yields the f64 cascade's graph
+    /// for every preset, scale and seed.
+    #[test]
+    fn rmat_matches_f64_reference(
+        preset in 0usize..4,
+        scale in 1u32..13,
+        seed in any::<u64>(),
+    ) {
+        assert_matches_reference(&PRESETS[preset](scale), seed);
+    }
+
+    /// ... and for arbitrary quadrant probabilities (in thousandths,
+    /// summing to at most 1, zeros included).
+    #[test]
+    fn rmat_matches_f64_reference_on_any_probabilities(
+        (a, b, c) in (0u32..1001, 0u32..1001, 0u32..1001),
+        seed in any::<u64>(),
+    ) {
+        let b = b % (1001 - a);
+        let c = c % (1001 - a - b);
+        let milli = |x: u32| f64::from(x) / 1000.0;
+        let params = RmatParams { scale: 9, edge_factor: 8, a: milli(a), b: milli(b), c: milli(c) };
+        assert_matches_reference(&params, seed);
+    }
+
+    /// Relabelling in place equals renaming the edge list and rebuilding.
+    #[test]
+    fn relabel_matches_edge_list_reference(scale in 1u32..11, seed in any::<u64>()) {
+        let g = generate_rmat(&RmatParams::kronecker(scale), seed);
+        let mut perm: Vec<u32> = (0..g.vertex_count()).collect();
+        perm.shuffle(&mut StdRng::seed_from_u64(seed));
+        prop_assert!(g.relabel(&perm) == reference_relabel(&g, &perm));
+    }
 
     /// CSR construction: offsets are monotonic, end at the edge count,
     /// and each vertex's neighbour slice length equals its degree.
